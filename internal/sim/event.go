@@ -16,6 +16,7 @@ type event struct {
 	seq      uint64
 	gen      uint64
 	fn       func()
+	proc     *Proc // resume target; fn is nil when set
 	index    int32 // heap position, or nowIdx / freeIdx
 	canceled bool
 }
@@ -76,7 +77,7 @@ func eventLess(a, b *event) bool {
 // heapPush inserts ev into the pending heap.
 func (k *Kernel) heapPush(ev *event) {
 	k.events = append(k.events, ev)
-	k.siftUp(int32(len(k.events) - 1), ev)
+	k.siftUp(int32(len(k.events)-1), ev)
 }
 
 // heapPop removes and returns the earliest heap event.
@@ -173,6 +174,7 @@ func (k *Kernel) alloc() *event {
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.proc = nil
 	ev.canceled = false
 	ev.index = freeIdx
 	if len(k.free) < maxFreeEvents {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,7 +12,8 @@ import (
 // Create one with NewKernel, spawn processes with Spawn, and drive the
 // simulation with Run or RunUntil. A Kernel must not be shared between
 // host goroutines: all access happens either before Run or from within
-// simulated processes and scheduled events.
+// simulated processes and scheduled events, which run one at a time on
+// whichever goroutine holds the run token (see loop).
 type Kernel struct {
 	now Time
 	seq uint64
@@ -35,8 +37,20 @@ type Kernel struct {
 	free      []*event
 	nCanceled int
 
-	running *Proc // the proc currently holding the run token, if any
-	yield   chan struct{}
+	// The run token and the dispatch loop travel together (see
+	// loop): home is where the goroutine that called Run, RunUntil or
+	// the shard loop waits for the token to come back; deadline and
+	// safe bound the current run; ran counts the work items it popped.
+	// A panic raised on a proc's goroutine while it carried the loop
+	// is parked in fault until the home goroutine re-raises it.
+	running  *Proc // the proc currently holding the run token, if any
+	home     chan struct{}
+	deadline Time
+	safe     Time
+	ran      uint64
+	fault    *loopFault
+	handoffs uint64 // goroutine handoffs of the run token, for tests
+
 	procs   []*Proc // all procs ever spawned
 	alive   int     // procs spawned but not yet finished
 	nextID  int
@@ -81,8 +95,8 @@ func (k *Kernel) Compactions() uint64 { return k.compactions }
 // itself is deterministic for a given seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		home: make(chan struct{}),
 	}
 }
 
@@ -96,6 +110,14 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // returns a Timer that can cancel it. Steady-state scheduling is
 // allocation-free: the shell comes from the kernel's pool.
 func (k *Kernel) At(at Time, fn func()) Timer {
+	ev := k.schedule(at, fn, nil)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// schedule queues one event: a callback fn, or, when p is non-nil, a
+// resume of proc p. Both kinds take the next seq, so a resume orders
+// against callbacks exactly as the closure it replaces did.
+func (k *Kernel) schedule(at Time, fn func(), p *Proc) *event {
 	if at < k.now {
 		at = k.now
 	}
@@ -103,6 +125,7 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 	ev.at = at
 	ev.seq = k.seq
 	ev.fn = fn
+	ev.proc = p
 	k.seq++
 	if at == k.now {
 		ev.index = nowIdx
@@ -110,7 +133,7 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 	} else {
 		k.heapPush(ev)
 	}
-	return Timer{ev: ev, gen: ev.gen}
+	return ev
 }
 
 // After schedules fn to run d from now.
@@ -123,7 +146,8 @@ func (k *Kernel) After(d Duration, fn func()) Timer {
 
 // Spawn creates a new simulated process running fn. The process starts
 // at the current virtual time, after already-scheduled work at this
-// instant. The name appears in deadlock reports and traces.
+// instant; its goroutine is started by that first dispatch. The name
+// appears in deadlock reports and traces.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
@@ -131,59 +155,179 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		resume: make(chan struct{}),
 		state:  procNew,
+		body:   fn,
 	}
-	p.resumeFn = func() { k.switchTo(p) }
 	k.nextID++
 	k.procs = append(k.procs, p)
 	k.alive++
 	if k.probe != nil {
 		k.probe.ProcEvent(k.now, name, "spawn")
 	}
-	k.At(k.now, func() { k.startProc(p, fn) })
+	k.schedule(k.now, nil, p)
 	return p
 }
 
-// startProc launches the goroutine backing p and gives it the token.
-// Must be called from kernel-loop context.
-func (k *Kernel) startProc(p *Proc, fn func(p *Proc)) {
-	go func() {
-		<-p.resume
-		defer func() {
-			p.state = procDone
-			k.alive--
-			if k.probe != nil {
-				k.probe.ProcEvent(k.now, p.name, "done")
+// The dispatch loop travels with the run token. Run, RunUntil and the
+// shard loop start it on their own goroutine (the run's home). When it
+// pops a proc's resume it hands the token, and the loop with it, to
+// that proc's goroutine. When a proc parks or finishes, its goroutine
+// carries on popping events itself, running plain callbacks inline,
+// until the loop stops at one of three exits:
+//
+//   - the next resume is the parking proc's own: park just returns,
+//     with no goroutine switch at all (the common case of a sleep);
+//   - it is another proc's: the token goes straight to that proc's
+//     goroutine, one channel send (or the go statement that starts a
+//     proc on its first dispatch);
+//   - nothing is dispatchable under the run's bound, or the run was
+//     stopped: the token goes back home.
+//
+// A panic in a callback run on a proc's goroutine, and a proc's own
+// panic, are carried home and re-raised from Run on the caller's
+// goroutine. Virtual order cannot change: there is one queue, every
+// event (resumes included) takes its seq when it is scheduled, and the
+// loop pops in (at, seq) order whichever goroutine runs it.
+
+// loop dispatches work items under the current run's bound until it
+// pops a proc's resume, which it returns, or runs dry or is stopped,
+// returning nil. Callbacks run with no proc holding the token. For a
+// shard the bound is the grant run's (safe, deadline), staged crosses
+// merge ahead of local events at equal timestamps in (src, seq) order,
+// and the group's stop flag ends the run like Stop.
+func (k *Kernel) loop() *Proc {
+	k.running = nil
+	g, deadline, safe := k.group, k.deadline, k.safe
+	for !k.stopped {
+		ev := k.front()
+		if g != nil {
+			if g.stopFlag.Load() {
+				break
 			}
-			if r := recover(); r != nil && r != errKilled {
-				p.panicked = r
+			if h := g.staging[k.shard].h; len(h) > 0 && (ev == nil || h[0].at <= ev.at) {
+				if h[0].at > deadline || h[0].at >= safe {
+					break
+				}
+				ce := g.staging[k.shard].pop()
+				if ce.at < k.now {
+					panic("sim: cross-shard event arrived in the past")
+				}
+				k.now = ce.at
+				k.ran++
+				g.dispatched[k.shard]++
+				ce.fn()
+				continue
 			}
-			k.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	k.switchTo(p)
+			if ev != nil && ev.at >= safe {
+				break
+			}
+		}
+		if ev == nil || ev.at > deadline {
+			break
+		}
+		k.popFront(ev)
+		k.ran++
+		if ev.canceled {
+			k.nCanceled--
+			k.recycle(ev)
+			continue
+		}
+		k.now = ev.at
+		fn, p := ev.fn, ev.proc
+		k.recycle(ev)
+		if p == nil {
+			fn()
+		} else if p.state != procDone {
+			return p
+		}
+	}
+	return nil
 }
 
-// switchTo hands the run token to p and waits until p blocks or
-// finishes. Must only be called from kernel-loop context (inside an
-// event callback), never from a running proc.
+// loopFault is a panic carried home from a proc's goroutine.
+type loopFault struct{ val any }
+
+// errGoexit is raised from Run when a callback run on a proc's
+// goroutine called runtime.Goexit (t.FailNow, say), which cannot be
+// carried home itself.
+var errGoexit = errors.New("sim: event callback called runtime.Goexit")
+
+// carry runs the loop on the goroutine of p (parking or finishing). A
+// panic in a callback it dispatched must not unwind into p's own code:
+// it is stored for the home goroutine, and the caller sends the token
+// home. A Goexit cannot be stopped, so p ends with its goroutine and
+// the token goes home from here.
+func (k *Kernel) carry(p *Proc) (next *Proc) {
+	ok := false
+	defer func() {
+		if ok {
+			return
+		}
+		if r := recover(); r != nil {
+			k.fault = &loopFault{r}
+			next = nil
+			return
+		}
+		p.abandon()
+	}()
+	next = k.loop()
+	ok = true
+	return next
+}
+
+// switchTo hands the run token to p: a send on p's channel, or, on
+// p's first dispatch, the start of its goroutine. The caller then
+// waits on its own channel or exits.
 func (k *Kernel) switchTo(p *Proc) {
-	if p.state == procDone {
+	k.running = p
+	k.handoffs++
+	if p.state == procNew {
+		p.state = procRunning
+		go p.main()
 		return
 	}
-	prev := k.running
-	k.running = p
 	p.state = procRunning
 	p.resume <- struct{}{}
-	<-k.yield
-	k.running = prev
-	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, p.panicked))
+}
+
+// pass hands the token on after a carried loop: to next, or home.
+func (k *Kernel) pass(next *Proc) {
+	if next != nil {
+		k.switchTo(next)
+		return
+	}
+	k.goHome()
+}
+
+// goHome returns the run token to the goroutine waiting in awaitHome.
+func (k *Kernel) goHome() {
+	k.running = nil
+	k.handoffs++
+	k.home <- struct{}{}
+}
+
+// awaitHome waits on the home goroutine for the token to come back
+// and re-raises any panic carried with it.
+func (k *Kernel) awaitHome() {
+	<-k.home
+	if f := k.fault; f != nil {
+		k.fault = nil
+		panic(f.val)
 	}
 }
 
-// Running returns the proc currently holding the run token, or nil when
-// the kernel loop itself is running.
+// drive runs the loop from the home goroutine under (deadline, safe)
+// and returns once the token is back home.
+func (k *Kernel) drive(deadline, safe Time) {
+	k.deadline, k.safe = deadline, safe
+	if p := k.loop(); p != nil {
+		k.switchTo(p)
+		k.awaitHome()
+	}
+}
+
+// Running returns the proc currently holding the run token, or nil
+// while an event callback runs (on whichever goroutine carries the
+// loop) and outside a run.
 func (k *Kernel) Running() *Proc { return k.running }
 
 // Alive reports the number of spawned processes that have not finished.
@@ -241,22 +385,7 @@ func (k *Kernel) popFront(ev *event) {
 // and can be cleaned up with Shutdown.
 func (k *Kernel) Run() error {
 	k.stopped = false
-	for !k.stopped {
-		ev := k.front()
-		if ev == nil {
-			break
-		}
-		k.popFront(ev)
-		if ev.canceled {
-			k.nCanceled--
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		fn := ev.fn
-		k.recycle(ev)
-		fn()
-	}
+	k.drive(maxDeadline, maxDeadline)
 	if k.stopped {
 		return nil
 	}
@@ -278,34 +407,23 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 // exactly at the deadline fires.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
-	for !k.stopped {
-		ev := k.front()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		k.popFront(ev)
-		if ev.canceled {
-			k.nCanceled--
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		fn := ev.fn
-		k.recycle(ev)
-		fn()
-	}
+	k.drive(deadline, maxDeadline)
 	if !k.stopped && k.now < deadline {
 		k.now = deadline
 	}
 }
 
 // Shutdown kills all parked processes so their goroutines exit. It is
-// safe to call after Run returns (including after a deadlock).
+// safe to call after Run returns (including after a deadlock). The
+// kernel stays stopped meanwhile, so a dying proc dispatches nothing
+// on its way out.
 func (k *Kernel) Shutdown() {
+	k.stopped = true
 	for _, p := range k.procs {
 		if p.state == procParked {
 			p.killed = true
 			k.switchTo(p)
+			k.awaitHome()
 		}
 	}
 }

@@ -364,8 +364,15 @@ func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel(1)
 	k.Spawn("bomb", func(p *Proc) { panic("boom") })
 	defer func() {
-		if r := recover(); r == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected panic to propagate out of Run")
+		}
+		if want := `sim: proc "bomb" panicked: boom`; r != want {
+			t.Fatalf("panic %q, want %q", r, want)
+		}
+		if k.Running() != nil {
+			t.Fatal("a proc still holds the token after its panic")
 		}
 	}()
 	_ = k.Run()

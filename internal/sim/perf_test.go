@@ -211,3 +211,48 @@ func TestStopZeroAlloc(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestProcSleepResumeZeroAlloc: once warm, a proc's Sleep→resume cycle
+// allocates nothing — a resume carries its proc in the event shell,
+// not in a closure.
+func TestProcSleepResumeZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	p := k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+		}
+	})
+	p.SetDaemon(true)
+	k.RunFor(100 * Microsecond)
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunFor(100 * Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("100 sleep/resume cycles allocate %v/op, want 0", allocs)
+	}
+	k.Shutdown()
+}
+
+// TestYieldZeroAlloc: two procs yielding to each other pass the token
+// proc to proc without allocating.
+func TestYieldZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	for _, name := range []string{"a", "b"} {
+		p := k.Spawn(name, func(p *Proc) {
+			for {
+				p.Yield()
+				p.Yield()
+				p.Sleep(Microsecond)
+			}
+		})
+		p.SetDaemon(true)
+	}
+	k.RunFor(100 * Microsecond)
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunFor(100 * Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("yield cycles allocate %v/op, want 0", allocs)
+	}
+	k.Shutdown()
+}

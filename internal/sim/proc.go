@@ -1,6 +1,9 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // errKilled is panicked inside a parked proc by Shutdown so that its
 // goroutine unwinds and exits.
@@ -18,7 +21,9 @@ const (
 // Proc is a simulated process: a goroutine scheduled cooperatively by
 // the Kernel in virtual time. All Proc methods must be called from the
 // proc's own goroutine while it holds the run token (i.e. from within
-// the function passed to Spawn, directly or indirectly).
+// the function passed to Spawn, directly or indirectly). A proc that
+// parks keeps the token and runs the kernel's dispatch loop itself
+// until the next resume (see Kernel.loop).
 type Proc struct {
 	k          *Kernel
 	id         int
@@ -27,16 +32,15 @@ type Proc struct {
 	state      procState
 	waitReason string
 	killed     bool
-	panicked   any
+	gone       bool // its goroutine left by runtime.Goexit (see abandon)
 	daemon     bool
+
+	// body is the function passed to Spawn, held until the proc's
+	// first dispatch starts its goroutine.
+	body func(p *Proc)
 
 	// parkPending holds the reason for an armed Park awaiting Block.
 	parkPending string
-
-	// resumeFn is the proc's switch-in thunk, bound once at spawn so
-	// the hot wake paths (unpark, Sleep, Yield) schedule it without
-	// allocating a fresh closure each time.
-	resumeFn func()
 }
 
 // SetDaemon marks the proc as a background service: a simulation where
@@ -62,14 +66,68 @@ func (p *Proc) Now() Time { return p.k.now }
 // WaitReason returns why the proc is blocked ("" when running).
 func (p *Proc) WaitReason() string { return p.waitReason }
 
-// park blocks the proc until some kernel-side event resumes it.
-// reason is recorded for deadlock reports.
+// main is the body of p's goroutine, started by its first dispatch.
+func (p *Proc) main() {
+	defer p.exit()
+	fn := p.body
+	p.body = nil
+	fn(p)
+}
+
+// exit finishes p. A panic (other than Shutdown's kill) is carried
+// home as "sim: proc %q panicked"; otherwise the goroutine carries the
+// loop one last time before it ends.
+func (p *Proc) exit() {
+	if p.gone {
+		return
+	}
+	k := p.k
+	r := recover()
+	p.finish()
+	if r != nil && r != errKilled {
+		k.fault = &loopFault{fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)}
+		k.goHome()
+		return
+	}
+	k.pass(k.carry(p))
+}
+
+// finish marks p done.
+func (p *Proc) finish() {
+	k := p.k
+	p.state = procDone
+	k.alive--
+	if k.probe != nil {
+		k.probe.ProcEvent(k.now, p.name, "done")
+	}
+}
+
+// abandon ends p when a callback on its goroutine called
+// runtime.Goexit: p is done, and Run raises errGoexit.
+func (p *Proc) abandon() {
+	if p.state != procDone {
+		p.finish()
+	}
+	p.gone = true
+	p.k.fault = &loopFault{errGoexit}
+	p.k.goHome()
+}
+
+// park blocks the proc until some event resumes it. reason is
+// recorded for deadlock reports. Meanwhile the proc's goroutine
+// carries the dispatch loop: if the next resume is its own, park
+// returns without a goroutine switch.
 func (p *Proc) park(reason string) {
 	p.waitReason = reason
 	p.state = procParked
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.state = procRunning
+	k := p.k
+	if next := k.carry(p); next == p {
+		k.running = p
+		p.state = procRunning
+	} else {
+		k.pass(next)
+		<-p.resume
+	}
 	p.waitReason = ""
 	if p.killed {
 		panic(errKilled)
@@ -78,9 +136,9 @@ func (p *Proc) park(reason string) {
 
 // unpark schedules the proc to resume at the current virtual time,
 // after events already queued at this instant. It must be called from
-// kernel context or from another running proc.
+// an event callback or from another running proc.
 func (p *Proc) unpark() {
-	p.k.At(p.k.now, p.resumeFn)
+	p.k.schedule(p.k.now, nil, p)
 }
 
 // Sleep blocks the proc for d of virtual time.
@@ -89,7 +147,7 @@ func (p *Proc) Sleep(d Duration) {
 		p.Yield()
 		return
 	}
-	p.k.At(p.k.now.Add(d), p.resumeFn)
+	p.k.schedule(p.k.now.Add(d), nil, p)
 	p.park("sleep")
 }
 
@@ -99,14 +157,14 @@ func (p *Proc) SleepUntil(t Time) {
 		p.Yield()
 		return
 	}
-	p.k.At(t, p.resumeFn)
+	p.k.schedule(t, nil, p)
 	p.park("sleep-until")
 }
 
 // Yield relinquishes the token until all other work scheduled at the
 // current instant has run.
 func (p *Proc) Yield() {
-	p.k.At(p.k.now, p.resumeFn)
+	p.k.schedule(p.k.now, nil, p)
 	p.park("yield")
 }
 

@@ -657,51 +657,6 @@ func (g *Group) announceHorizons(i int, safe Time, force bool) {
 	}
 }
 
-// dispatchOne runs shard i's earliest dispatchable work item — a
-// staged cross or a local event — applying the deterministic merge
-// rule: at equal timestamps crosses go first, ordered by (src, seq).
-// Returns false when the front is not dispatchable under (safe,
-// deadline).
-func (g *Group) dispatchOne(i int, safe, deadline Time) bool {
-	k := g.kernels[i]
-	var localAt Time = maxDeadline
-	ev := k.front()
-	if ev != nil {
-		localAt = ev.at
-	}
-	var crossAt Time = maxDeadline
-	if h := g.staging[i].h; len(h) > 0 {
-		crossAt = h[0].at
-	}
-	if crossAt <= localAt {
-		if crossAt == maxDeadline || crossAt > deadline || crossAt >= safe {
-			return false
-		}
-		ce := g.staging[i].pop()
-		if ce.at < k.now {
-			panic("sim: cross-shard event arrived in the past")
-		}
-		k.now = ce.at
-		g.dispatched[i]++
-		ce.fn()
-		return true
-	}
-	if localAt > deadline || localAt >= safe {
-		return false
-	}
-	k.popFront(ev)
-	if ev.canceled {
-		k.nCanceled--
-		k.recycle(ev)
-		return true
-	}
-	k.now = ev.at
-	fn := ev.fn
-	k.recycle(ev)
-	fn()
-	return true
-}
-
 // hasWork reports whether shard i could make progress right now.
 // Called under detMu with the system momentarily stable.
 func (g *Group) hasWork(i int, deadline Time) bool {
@@ -809,9 +764,11 @@ func (g *Group) exitIdle(i int) {
 	g.detMu.Unlock()
 }
 
-// shardLoop is one shard's dispatch loop for a single run: compute the
+// shardLoop drives one shard for a single run: compute the
 // safe-advance bound once, drain every dispatchable event below it in
-// one grant run, publish the raised floor, and only then decide
+// one grant run (the kernel's dispatch loop under (safe, deadline),
+// carried by whichever of the shard's goroutines holds its run token),
+// publish the raised floor, and only then decide
 // whether to re-arm or park. Horizon announcements ride the quantized
 // fast path while the shard is making progress and the exhaustive
 // force path just before it parks; between the two sits the bounded
@@ -825,14 +782,13 @@ func (g *Group) shardLoop(i int, deadline Time) {
 		}
 		g.drain(i)
 		safe := g.safeTime(i)
-		ran := uint64(0)
-		for g.dispatchOne(i, safe, deadline) {
-			ran++
-			if g.stopFlag.Load() || k.stopped {
-				g.Stop()
-				return
-			}
+		k.ran = 0
+		k.drive(deadline, safe)
+		if g.stopFlag.Load() || k.stopped {
+			g.Stop()
+			return
 		}
+		ran := k.ran
 		g.publishLocalMin(i)
 		if ran > 0 {
 			g.sync[i].drainRuns++
