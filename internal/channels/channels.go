@@ -26,6 +26,7 @@ import (
 	"sort"
 	"sync"
 
+	"hpcvorx/internal/arq"
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/netif"
@@ -231,14 +232,17 @@ func NewService(f *netif.IF, mgr *objmgr.Manager) *Service {
 		Handle: s.handleAck,
 	})
 	f.Register("chan.busy", netif.Service{
-		Cost:   func(*hpc.Message) sim.Duration { return costs.ChanAckProto },
-		Handle: s.handleBusy,
+		Cost: func(*hpc.Message) sim.Duration { return costs.ChanAckProto },
+		// Nothing to do beyond bookkeeping: the receiver discarded the
+		// data, and the pending write (its writer still blocked by the
+		// window) is retransmitted on resume.
+		Handle: func(*hpc.Message) {},
 	})
 	f.Register("chan.resume", netif.Service{
 		Cost: func(m *hpc.Message) sim.Duration {
 			rm := m.Payload.(netif.Envelope).Body.(resumeMsg)
 			if ch := s.chans[rm.ch]; ch != nil {
-				if om := ch.pendingBySeq(rm.seq); om != nil {
+				if om, ok := ch.pending.Find(rm.seq); ok {
 					return costs.ChanSendProto + costs.KernelCopyTime(om.size)
 				}
 			}
@@ -325,14 +329,14 @@ type Channel struct {
 	// system should consider ("we should consider the use of a
 	// sliding-window protocol for channels").
 	window     int
-	pending    []*outMsg // un-acknowledged writes, oldest first
+	pending    arq.Window[*outMsg] // un-acknowledged writes, oldest first
 	writerWake func()
 	sendSeq    int
 
 	// receiver-side sequencing: messages are accepted strictly in
-	// order; anything ahead of recvSeq is busy-discarded and
+	// order; anything ahead of the cursor is busy-discarded and
 	// retransmitted after its predecessors, which restores order.
-	recvSeq int
+	recv arq.Cursor
 
 	closedLocal  bool
 	closedRemote bool
@@ -346,7 +350,7 @@ type Channel struct {
 	// checkpoint missed.
 	managed  bool
 	retain   bool
-	retained []*outMsg // acknowledged but not yet checkpoint-stable, oldest first
+	retained arq.Window[*outMsg] // acknowledged but not yet checkpoint-stable
 
 	// cdb-visible counters
 	sent, received int
@@ -366,6 +370,8 @@ type outMsg struct {
 	tries   int       // timeout retransmissions so far
 	tid     uint64    // trace ID threading this write through the stack
 }
+
+func (om *outMsg) Seq() int { return om.seq }
 
 // maxFreeOut bounds the write-record free list.
 const maxFreeOut = 1024
@@ -426,13 +432,18 @@ func (s *Service) Open(sp *kern.Subprocess, name string, mode objmgr.Mode) *Chan
 	p := s.mgr.Open(sp, s.f, name, mode)
 	ch := &Channel{svc: s, id: p.Chan, name: name, peer: p.Peer, window: s.defaultWindow()}
 	s.chans[p.Chan] = ch
-	if frags := s.preopen[p.Chan]; len(frags) > 0 {
-		delete(s.preopen, p.Chan)
-		for _, frag := range frags {
-			s.deliverFrag(ch, frag)
-		}
-	}
+	s.replayPreopen(ch)
 	return ch
+}
+
+// replayPreopen delivers, in arrival order, the fragments held for ch
+// before its local end existed.
+func (s *Service) replayPreopen(ch *Channel) {
+	frags := s.preopen[ch.id]
+	delete(s.preopen, ch.id)
+	for _, frag := range frags {
+		s.deliverFrag(ch, frag)
+	}
 }
 
 // Name returns the channel's rendezvous name.
@@ -467,7 +478,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	om := ch.svc.getOut()
 	om.seq, om.size, om.payload = ch.sendSeq, size, payload
 	ch.sendSeq++
-	ch.pending = append(ch.pending, om)
+	ch.pending.Push(om)
 	if tr := ch.svc.tracer(); tr.Enabled() {
 		om.tid = tr.NewTraceID()
 		node := ch.svc.f.Node().Name()
@@ -477,18 +488,18 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 		tr.Count("chan.bytes_written", float64(size))
 		if ch.window > 1 {
 			tr.Emit(trace.KWindow, om.tid, node, ch.lane(),
-				fmt.Sprintf("credit seq=%d inflight=%d/%d", om.seq, len(ch.pending), ch.window))
-			tr.GaugeSet(WindowInflightGauge, float64(len(ch.pending)))
+				fmt.Sprintf("credit seq=%d inflight=%d/%d", om.seq, ch.pending.Len(), ch.window))
+			tr.GaugeSet(WindowInflightGauge, float64(ch.pending.Len()))
 		}
 	}
 	if v := ch.svc.verifier; v != nil {
 		v.ChanWrite(ch.id, ch.name, ch.svc.f.Endpoint(), ch.svc.f.Node().Incarnation(),
 			om.seq, size, payload)
 	}
-	if err := ch.sendFragments(sp, om, false); err != nil {
+	if err := ch.sendFragments(sp, om); err != nil {
 		retryForever := ch.svc.ackTimeout > 0 && ch.svc.maxRetries <= 0
 		if !ch.managed && !retryForever {
-			ch.dropPending(om)
+			ch.pending.Release(om.seq)
 			name := ch.name
 			ch.svc.putOut(om) // timer never armed, no list reaches it
 			return fmt.Errorf("channels: write on %q: %w", name, err)
@@ -500,7 +511,7 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 		// until the fabric heals or the end is rebound.
 	}
 	ch.svc.armTimer(ch, om)
-	for len(ch.pending) >= ch.window && !ch.closedRemote {
+	for ch.pending.Len() >= ch.window && !ch.closedRemote {
 		ch.writerWake = sp.Block(kern.WaitOutput, fmt.Sprintf("chan-write %s", ch.name))
 		sp.BlockNow()
 		sp.System(costs.SchedulerWake)
@@ -514,22 +525,27 @@ func (ch *Channel) Write(sp *kern.Subprocess, size int, payload any) error {
 	return nil
 }
 
+// fragment builds the wire fragment of om starting at byte off, and
+// returns it with its payload size. The last fragment carries the
+// application payload.
+func (ch *Channel) fragment(om *outMsg, off int, retrans bool) (*dataFrag, int) {
+	n := min(om.size-off, MaxFragment)
+	last := off+n >= om.size
+	frag := fragPool.Get().(*dataFrag)
+	*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: retrans, tid: om.tid}
+	if last {
+		frag.payload = om.payload
+	}
+	return frag, n
+}
+
 // sendFragments pushes the write onto the wire in hardware-sized
 // fragments. The subprocess blocks per fragment only on hardware
 // output-section backpressure. An error (destination unreachable)
 // aborts the remaining fragments.
-func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) error {
+func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg) error {
 	for off := 0; off < om.size; off += MaxFragment {
-		n := om.size - off
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		last := off+n >= om.size
-		frag := fragPool.Get().(*dataFrag)
-		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: retrans, tid: om.tid}
-		if last {
-			frag.payload = om.payload
-		}
+		frag, n := ch.fragment(om, off, false)
 		if tr := ch.svc.tracer(); tr.Enabled() {
 			tr.Emit(trace.KFragment, om.tid, ch.svc.f.Node().Name(), ch.lane(),
 				fmt.Sprintf("seq=%d off=%d %dB", om.seq, off, n))
@@ -540,16 +556,6 @@ func (ch *Channel) sendFragments(sp *kern.Subprocess, om *outMsg, retrans bool) 
 		}
 	}
 	return nil
-}
-
-// dropPending removes om from the un-acknowledged list.
-func (ch *Channel) dropPending(om *outMsg) {
-	for i, p := range ch.pending {
-		if p == om {
-			ch.pending = append(ch.pending[:i:i], ch.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // armTimer (re)starts om's end-to-end ack timeout, if enabled. The
@@ -574,7 +580,7 @@ func (s *Service) armTimer(ch *Channel, om *outMsg) {
 // timeoutFire handles an expired ack timeout: retransmit the write, or
 // after maxRetries declare the peer dead.
 func (s *Service) timeoutFire(ch *Channel, om *outMsg) {
-	if ch.pendingBySeq(om.seq) != om || ch.closedRemote || s.f.Node().Crashed() {
+	if cur, _ := ch.pending.Find(om.seq); cur != om || ch.closedRemote || s.f.Node().Crashed() {
 		return
 	}
 	om.tries++
@@ -587,11 +593,11 @@ func (s *Service) timeoutFire(ch *Channel, om *outMsg) {
 	}
 	s.TimeoutRetransmits++
 	s.retransmitAsync(ch, om)
-	s.armTimer(ch, om)
 }
 
 // retransmitAsync re-sends every fragment of om from the kernel (the
-// writing process is still blocked, so its buffer is intact).
+// writing process is still blocked, so its buffer is intact) and
+// restarts its ack timeout.
 func (s *Service) retransmitAsync(ch *Channel, om *outMsg) {
 	if tr := s.tracer(); tr.Enabled() {
 		tr.Emit(trace.KRetransmit, om.tid, s.f.Node().Name(), ch.lane(),
@@ -599,25 +605,17 @@ func (s *Service) retransmitAsync(ch *Channel, om *outMsg) {
 		tr.Count("chan.retransmits_sent", 1)
 	}
 	for off := 0; off < om.size; off += MaxFragment {
-		n := om.size - off
-		if n > MaxFragment {
-			n = MaxFragment
-		}
-		last := off+n >= om.size
-		frag := fragPool.Get().(*dataFrag)
-		*frag = dataFrag{ch: ch.id, seq: om.seq, size: n, total: om.size, last: last, retransmit: true, tid: om.tid}
-		if last {
-			frag.payload = om.payload
-		}
+		frag, n := ch.fragment(om, off, true)
 		s.f.SendAsyncCtx(om.tid, ch.peer, "chan", n+HeaderBytes, frag, nil)
 	}
+	s.armTimer(ch, om)
 }
 
 // remoteGone marks the remote end gone (graceful close or death) and
 // fails every blocked operation on the channel.
 func (ch *Channel) remoteGone() {
 	ch.closedRemote = true
-	for _, om := range ch.pending {
+	for _, om := range ch.pending.Records() {
 		om.timer.Stop()
 	}
 	// A gone peer can never honor a resume: purge its busy-discarded
@@ -675,7 +673,7 @@ func (ch *Channel) Managed() bool { return ch.managed }
 
 // RetainedWrites reports how many acknowledged writes the end is
 // holding for possible replay (0 unless retention is on).
-func (ch *Channel) RetainedWrites() int { return len(ch.retained) }
+func (ch *Channel) RetainedWrites() int { return ch.retained.Len() }
 
 // ByID returns the channel end with the given id on this node, or nil.
 func (s *Service) ByID(id uint64) *Channel { return s.chans[id] }
@@ -697,18 +695,14 @@ func (s *Service) Rebind(id uint64, newPeer topo.EndpointID, resumeFrom int) boo
 	// Retained survivors become pending again: they are unacknowledged
 	// as far as the reincarnated peer is concerned, and pending is what
 	// the busy/resume and timeout machinery knows how to re-send.
-	if len(ch.retained) > 0 {
-		if v := s.verifier; v != nil {
-			for _, om := range ch.retained {
-				v.ChanRelease(ch.id, s.f.Endpoint(), om.seq, true)
-			}
+	if v := s.verifier; v != nil {
+		for _, om := range ch.retained.Records() {
+			v.ChanRelease(ch.id, s.f.Endpoint(), om.seq, true)
 		}
-		ch.pending = append(ch.retained, ch.pending...)
-		ch.retained = nil
 	}
-	for _, om := range ch.pending {
+	ch.pending.Requeue(&ch.retained)
+	for _, om := range ch.pending.Records() {
 		s.retransmitAsync(ch, om)
-		s.armTimer(ch, om)
 	}
 	return true
 }
@@ -736,19 +730,14 @@ func (s *Service) FailEnd(id uint64) bool {
 // re-delivered.
 func (s *Service) Reincarnate(id uint64, name string, peer topo.EndpointID, sendSeq, recvSeq int) *Channel {
 	ch := &Channel{svc: s, id: id, name: name, peer: peer, window: s.defaultWindow(),
-		sendSeq: sendSeq, recvSeq: recvSeq, managed: true}
+		sendSeq: sendSeq, recv: arq.At(recvSeq), managed: true}
 	s.chans[id] = ch
 	if v := s.verifier; v != nil {
 		v.ChanReincarnate(id, s.f.Endpoint(), peer, sendSeq, recvSeq)
 	}
-	if frags := s.preopen[id]; len(frags) > 0 {
-		// The peer's rebind replay raced ahead of the reincarnation;
-		// deliver the held fragments in arrival order.
-		delete(s.preopen, id)
-		for _, frag := range frags {
-			s.deliverFrag(ch, frag)
-		}
-	}
+	// The peer's rebind replay may have raced ahead of the
+	// reincarnation.
+	s.replayPreopen(ch)
 	return ch
 }
 
@@ -762,31 +751,12 @@ func (s *Service) ReleaseRetained(id uint64, stable int) {
 }
 
 func (s *Service) releaseRetained(ch *Channel, stable int) {
-	keep := ch.retained[:0]
-	for _, om := range ch.retained {
-		if om.seq >= stable {
-			keep = append(keep, om)
-		} else {
-			if v := s.verifier; v != nil {
-				v.ChanRelease(ch.id, s.f.Endpoint(), om.seq, false)
-			}
-			s.putOut(om) // acked and checkpoint-stable: fully dead
+	ch.retained.ReleaseBelow(stable, func(om *outMsg) {
+		if v := s.verifier; v != nil {
+			v.ChanRelease(ch.id, s.f.Endpoint(), om.seq, false)
 		}
-	}
-	for i := len(keep); i < len(ch.retained); i++ {
-		ch.retained[i] = nil
-	}
-	ch.retained = keep
-}
-
-// pendingBySeq finds an un-acknowledged write.
-func (ch *Channel) pendingBySeq(seq int) *outMsg {
-	for _, om := range ch.pending {
-		if om.seq == seq {
-			return om
-		}
-	}
-	return nil
+		s.putOut(om) // acked and checkpoint-stable: fully dead
+	})
 }
 
 // Read blocks sp until a message arrives and returns it. ok is false
@@ -905,15 +875,15 @@ func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
 	delete(ch.assembling, frag.seq)
 	msg := Msg{Size: frag.total, Payload: frag.payload}
 
-	if frag.seq < ch.recvSeq {
+	switch ch.recv.Classify(frag.seq) {
+	case arq.Dup:
 		// Duplicate of an already-accepted message: re-acknowledge.
 		if v := s.verifier; v != nil {
 			v.ChanDeliver(ch.id, ch.name, frag.src, frag.inc, frag.seq, frag.payload, true)
 		}
 		s.ack(ch, frag.seq, frag.tid)
 		return
-	}
-	if frag.seq > ch.recvSeq {
+	case arq.Ahead:
 		// Ahead of the stream (a predecessor was busy-discarded):
 		// discard and schedule a retransmission behind it, which
 		// restores order.
@@ -952,7 +922,7 @@ func (s *Service) deliverFrag(ch *Channel, frag dataFrag) {
 // accept finishes an in-order delivery: counters, sequencing, ack.
 func (s *Service) accept(ch *Channel, frag dataFrag, how string) {
 	s.Delivered++
-	ch.recvSeq++
+	ch.recv.Advance()
 	if v := s.verifier; v != nil {
 		v.ChanDeliver(ch.id, ch.name, frag.src, frag.inc, frag.seq, frag.payload, false)
 	}
@@ -1004,51 +974,39 @@ func (s *Service) handleAck(m *hpc.Message) {
 	if ch == nil {
 		return
 	}
-	for i, om := range ch.pending {
-		if om.seq == a.seq {
-			om.timer.Stop()
-			ch.pending = append(ch.pending[:i:i], ch.pending[i+1:]...)
+	if om, ok := ch.pending.Release(a.seq); ok {
+		om.timer.Stop()
+		if v := s.verifier; v != nil {
+			v.ChanAck(ch.id, s.f.Endpoint(), a.seq)
+		}
+		s.tracer().Emit(trace.KAck, om.tid, s.f.Node().Name(), ch.lane(),
+			fmt.Sprintf("seq=%d", a.seq))
+		if ch.window > 1 {
+			if tr := s.tracer(); tr.Enabled() {
+				tr.Emit(trace.KWindow, om.tid, s.f.Node().Name(), ch.lane(),
+					fmt.Sprintf("advance seq=%d inflight=%d/%d", a.seq, ch.pending.Len(), ch.window))
+				tr.GaugeSet(WindowInflightGauge, float64(ch.pending.Len()))
+			}
+		}
+		if ch.retain {
+			// Keep the acknowledged write until the supervisor's
+			// stable checkpoint mark passes it: an ack only means the
+			// peer's kernel delivered it, not that the peer's
+			// checkpoint captured it.
+			ch.retained.Push(om)
 			if v := s.verifier; v != nil {
-				v.ChanAck(ch.id, s.f.Endpoint(), a.seq)
+				v.ChanRetain(ch.id, s.f.Endpoint(), om.seq)
 			}
-			s.tracer().Emit(trace.KAck, om.tid, s.f.Node().Name(), ch.lane(),
-				fmt.Sprintf("seq=%d", a.seq))
-			if ch.window > 1 {
-				if tr := s.tracer(); tr.Enabled() {
-					tr.Emit(trace.KWindow, om.tid, s.f.Node().Name(), ch.lane(),
-						fmt.Sprintf("advance seq=%d inflight=%d/%d", a.seq, len(ch.pending), ch.window))
-					tr.GaugeSet(WindowInflightGauge, float64(len(ch.pending)))
-				}
-			}
-			if ch.retain {
-				// Keep the acknowledged write until the supervisor's
-				// stable checkpoint mark passes it: an ack only means
-				// the peer's kernel delivered it, not that the peer's
-				// checkpoint captured it.
-				ch.retained = append(ch.retained, om)
-				if v := s.verifier; v != nil {
-					v.ChanRetain(ch.id, s.f.Endpoint(), om.seq)
-				}
-			} else {
-				// Timer stopped, off every list: recycle the record.
-				s.putOut(om)
-			}
-			break
+		} else {
+			// Timer stopped, off every list: recycle the record.
+			s.putOut(om)
 		}
 	}
-	if ch.writerWake != nil && len(ch.pending) < ch.window {
+	if ch.writerWake != nil && ch.pending.Len() < ch.window {
 		w := ch.writerWake
 		ch.writerWake = nil
 		w()
 	}
-}
-
-// handleBusy marks the pending write as awaiting a resume; the writer
-// stays blocked (stop-and-wait already holds it).
-func (s *Service) handleBusy(m *hpc.Message) {
-	// Nothing to do beyond bookkeeping: the data was discarded by the
-	// receiver; the write will be retransmitted on resume.
-	_ = m
 }
 
 // handleResume retransmits the pending write from the kernel: the ISR
@@ -1060,13 +1018,12 @@ func (s *Service) handleResume(m *hpc.Message) {
 	if ch == nil {
 		return
 	}
-	pw := ch.pendingBySeq(rm.seq)
-	if pw == nil {
+	pw, ok := ch.pending.Find(rm.seq)
+	if !ok {
 		return
 	}
 	// Asynchronous kernel-level retransmission of each fragment.
 	s.retransmitAsync(ch, pw)
-	s.armTimer(ch, pw)
 }
 
 // handleClose marks the remote end closed and fails any blocked

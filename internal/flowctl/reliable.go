@@ -3,6 +3,7 @@ package flowctl
 import (
 	"fmt"
 
+	"hpcvorx/internal/arq"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/snet"
 	"hpcvorx/internal/trace"
@@ -21,7 +22,6 @@ import (
 // number, so delivery is exactly-once.
 type Reliable struct {
 	k       *sim.Kernel
-	nw      *snet.Network
 	pending []*relPend
 	userFns []func(m snet.Message)
 	seq     int // per-instance sequence counter
@@ -42,10 +42,10 @@ type Reliable struct {
 	// sending station's incarnation (boot count, starts at 1); a
 	// receiver that has fenced a source at a higher floor drops stale
 	// frames without acknowledging them, so a zombie sender cannot
-	// complete a stop-and-wait exchange. incs is lazily sized; fences
-	// maps (receiver, source) to the floor.
+	// complete a stop-and-wait exchange. fences[receiver] holds the
+	// floor per source.
 	incs   []uint32
-	fences []map[int]uint32
+	fences []arq.Floor[int]
 	// FencedDrops counts data frames refused by an incarnation fence.
 	FencedDrops int
 
@@ -88,11 +88,10 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 	n := nw.Stations()
 	r := &Reliable{
 		k:          k,
-		nw:         nw,
 		pending:    make([]*relPend, n),
 		userFns:    make([]func(m snet.Message), n),
 		incs:       make([]uint32, n),
-		fences:     make([]map[int]uint32, n),
+		fences:     make([]arq.Floor[int], n),
 		AckTimeout: 5 * sim.Millisecond,
 	}
 	for i := range r.incs {
@@ -112,17 +111,15 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 				}
 				r.applyAck(i, m.Src, b.upTo)
 			case relData:
-				if fl := r.fences[i]; fl != nil {
-					if min, ok := fl[m.Src]; ok && b.inc < min {
-						// Stale incarnation: refuse silently. No ack means
-						// the zombie's stop-and-wait never completes.
-						r.FencedDrops++
-						return
-					}
+				if _, ok := r.fences[i].Admit(m.Src, b.inc); !ok {
+					// Stale incarnation: refuse silently. No ack means
+					// the zombie's stop-and-wait never completes.
+					r.FencedDrops++
+					return
 				}
 				if m.Corrupt {
 					// Checksum failure: NAK, the sender will resend.
-					r.sendCtl(st, m.Src, b.seq, false)
+					r.sendCtl(st, m.Src, "rel-ctl", relAck{seq: b.seq, ok: false})
 					return
 				}
 				if !seen[b.seq] {
@@ -132,7 +129,7 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 						fn(snet.Message{Src: m.Src, Size: m.Size, Payload: b.user})
 					}
 				}
-				r.sendCtl(st, m.Src, b.seq, true)
+				r.sendCtl(st, m.Src, "rel-ctl", relAck{seq: b.seq, ok: true})
 			case relAck:
 				if m.Corrupt {
 					return // a damaged ack is garbage; timeout covers it
@@ -154,11 +151,11 @@ func NewReliable(k *sim.Kernel, nw *snet.Network) *Reliable {
 	return r
 }
 
-// sendCtl transmits an ACK/NAK from a short-lived kernel process (the
-// drain loop must not block on the bus).
-func (r *Reliable) sendCtl(st *snet.Station, to, seq int, ok bool) {
-	r.k.Spawn("rel-ctl", func(p *sim.Proc) {
-		for st.Send(p, to, relAckBytes, relAck{seq: seq, ok: ok}) != snet.Delivered {
+// sendCtl transmits an ack (or NAK) from a short-lived kernel process
+// named name (the drain loop must not block on the bus).
+func (r *Reliable) sendCtl(st *snet.Station, to int, name string, body any) {
+	r.k.Spawn(name, func(p *sim.Proc) {
+		for st.Send(p, to, relAckBytes, body) != snet.Delivered {
 			p.Sleep(50 * sim.Microsecond)
 		}
 	})
@@ -177,14 +174,7 @@ func (r *Reliable) BumpIncarnation(i int) { r.incs[i]++ }
 // Fence makes station at refuse data frames from src stamped below
 // min. Fences only tighten; a lower min than the installed floor is a
 // no-op.
-func (r *Reliable) Fence(at, src int, min uint32) {
-	if r.fences[at] == nil {
-		r.fences[at] = make(map[int]uint32)
-	}
-	if r.fences[at][src] < min {
-		r.fences[at][src] = min
-	}
-}
+func (r *Reliable) Fence(at, src int, min uint32) { r.fences[at].Raise(src, min) }
 
 // Send reliably delivers one message: transmit, await the ACK; on NAK,
 // timeout, or FIFO overflow retransmit from the still-intact user

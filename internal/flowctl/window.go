@@ -3,6 +3,7 @@ package flowctl
 import (
 	"fmt"
 
+	"hpcvorx/internal/arq"
 	"hpcvorx/internal/sim"
 	"hpcvorx/internal/snet"
 )
@@ -20,10 +21,10 @@ type WindowConfig struct {
 	Window int
 	// AckDelay is how long a receiver may sit on a cumulative ack
 	// waiting for more arrivals (or reverse traffic to piggyback on).
-	// SetWindowConfig defaults it to 100 µs when unset.
+	// SetWindowConfig defaults it to arq.AckDelay when unset.
 	AckDelay sim.Duration
 	// AckBatch flushes the delayed ack once this many arrivals are
-	// owed. SetWindowConfig defaults it to Window/2 (at least 1).
+	// owed. SetWindowConfig defaults it to arq.AckBatch(Window).
 	AckBatch int
 }
 
@@ -34,13 +35,10 @@ func (r *Reliable) SetWindowConfig(wc WindowConfig) {
 		return
 	}
 	if wc.AckDelay <= 0 {
-		wc.AckDelay = 100 * sim.Microsecond
+		wc.AckDelay = arq.AckDelay
 	}
 	if wc.AckBatch <= 0 {
-		wc.AckBatch = wc.Window / 2
-		if wc.AckBatch < 1 {
-			wc.AckBatch = 1
-		}
+		wc.AckBatch = arq.AckBatch(wc.Window)
 	}
 	r.wc = wc
 	r.winSend = make(map[[2]int]*gbnSend)
@@ -50,30 +48,29 @@ func (r *Reliable) SetWindowConfig(wc WindowConfig) {
 // Windowed reports whether the pipelined protocol is active.
 func (r *Reliable) Windowed() bool { return r.wc.Window > 1 }
 
-// gbnSend is one direction's sender state: seqs [base, next) are in
-// flight, inflight[k] holding seq base+k. One writer proc per
-// direction at a time (the same discipline classic Send imposes
-// per station).
+// gbnSend is one direction's sender state: seqs [win.Base(), next)
+// are in flight. One writer proc per direction at a time (the same
+// discipline classic Send imposes per station).
 type gbnSend struct {
-	base, next int
-	inflight   []gbnItem
-	timer      sim.Timer
-	fullWake   func() // writer parked on a full window
-	idleWake   func() // Drain waiter parked until all acked
-	resending  bool   // a go-back-N round is on the wire
+	next      int
+	win       arq.Window[gbnItem]
+	rt        arq.Retrans // go-back-N at AckTimeout
+	fullWake  func()      // writer parked on a full window
+	idleWake  func()      // Drain waiter parked until all acked
+	resending bool        // a go-back-N round is on the wire
 }
 
 type gbnItem struct {
-	size int
-	user any
+	seq, size int
+	user      any
 }
+
+func (it gbnItem) Seq() int { return it.seq }
 
 // gbnRecv is one direction's receiver state.
 type gbnRecv struct {
-	expected int // next in-order seq
-	owed     int // in-order arrivals not yet covered by any ack
-	armed    bool
-	timer    sim.Timer
+	cur arq.Cursor
+	ack arq.Acker
 }
 
 // Wire bodies. gbnData carries the reverse direction's cumulative ack
@@ -87,21 +84,29 @@ type gbnData struct {
 }
 type gbnAck struct{ upTo int }
 
-func (r *Reliable) sendState(station, peer int) *gbnSend {
-	key := [2]int{station, peer}
+func (r *Reliable) sendState(src *snet.Station, dst int) *gbnSend {
+	key := [2]int{src.ID(), dst}
 	gs := r.winSend[key]
 	if gs == nil {
 		gs = &gbnSend{}
+		gs.rt.Init(r.k, arq.GoBackN(r.AckTimeout), func() {
+			if gs.win.Len() == 0 || gs.resending {
+				return
+			}
+			r.Timeouts++
+			r.goBackN(src, dst, gs)
+		})
 		r.winSend[key] = gs
 	}
 	return gs
 }
 
-func (r *Reliable) recvState(station, peer int) *gbnRecv {
-	key := [2]int{station, peer}
+func (r *Reliable) recvState(st *snet.Station, peer int) *gbnRecv {
+	key := [2]int{st.ID(), peer}
 	gr := r.winRecv[key]
 	if gr == nil {
 		gr = &gbnRecv{}
+		gr.ack.Init(r.k, r.wc.AckDelay, r.wc.AckBatch, func() { r.flushAck(st, peer, gr) })
 		r.winRecv[key] = gr
 	}
 	return gr
@@ -111,22 +116,22 @@ func (r *Reliable) recvState(station, peer int) *gbnRecv {
 // window is full, then transmit and return without waiting for the
 // ack — the window, not the RTT, is the brake.
 func (r *Reliable) sendWindowed(p *sim.Proc, src *snet.Station, dst, size int, payload any) int {
-	gs := r.sendState(src.ID(), dst)
-	for gs.next-gs.base >= r.wc.Window {
+	gs := r.sendState(src, dst)
+	for gs.win.Len() >= r.wc.Window {
 		gs.fullWake = p.Park(fmt.Sprintf("gbn-window %d->%d", src.ID(), dst))
 		p.Block()
 	}
 	seq := gs.next
 	gs.next++
-	gs.inflight = append(gs.inflight, gbnItem{size: size, user: payload})
+	gs.win.Push(gbnItem{seq: seq, size: size, user: payload})
 	transfers := 1
 	d := gbnData{seq: seq, user: payload, ackUpTo: r.takePiggyback(src.ID(), dst)}
 	for src.Send(p, dst, size, d) != snet.Delivered {
 		p.Sleep(100 * sim.Microsecond)
 		transfers++
 	}
-	if !gs.timer.Pending() && !gs.resending && gs.next > gs.base {
-		r.armWindowTimer(src, dst, gs)
+	if !gs.rt.Armed() && !gs.resending && gs.win.Len() > 0 {
+		gs.rt.Arm()
 	}
 	return transfers
 }
@@ -135,59 +140,35 @@ func (r *Reliable) sendWindowed(p *sim.Proc, src *snet.Station, dst, size int, p
 // acknowledged. A no-op for streams that never started (or classic
 // mode).
 func (r *Reliable) Drain(p *sim.Proc, src *snet.Station, dst int) {
-	if r.winSend == nil {
-		return
-	}
 	gs := r.winSend[[2]int{src.ID(), dst}]
 	if gs == nil {
 		return
 	}
-	for gs.base < gs.next {
+	for gs.win.Len() > 0 {
 		gs.idleWake = p.Park(fmt.Sprintf("gbn-drain %d->%d", src.ID(), dst))
 		p.Block()
 	}
 }
 
-// armWindowTimer (re)arms the retransmit timeout covering the lowest
-// unacked seq.
-func (r *Reliable) armWindowTimer(src *snet.Station, dst int, gs *gbnSend) {
-	gs.timer = r.k.After(r.AckTimeout, func() {
-		if gs.base >= gs.next || gs.resending {
-			return
-		}
-		r.Timeouts++
-		r.goBackN(src, dst, gs)
-	})
-}
-
 // goBackN retransmits everything in flight starting from the lowest
-// unacked seq — the whole-window resend that makes a lost cumulative
-// ack (or a dropped run of data) recoverable with no per-seq state.
-//
-// The whole-window burst at a fixed AckTimeout is safe HERE because a
-// gbnSend covers one station pair with one small window: the resend
-// rate is bounded by window/AckTimeout per pair and cannot compound.
-// Do not copy this shape to a multiplexed path — when many logical
-// streams share one lane, a fixed timeout below the loaded RTT turns
-// whole-window resends into congestion collapse (duplicates crowd out
-// fresh frames and the acks that would cancel them). vchan's
-// retransFire is the multiplexed-scale discipline: head-only resend
-// with exponential backoff, reset on ack progress.
+// unacked seq — the arq.GoBackN policy's whole-window resend, which
+// makes a lost cumulative ack (or a dropped run of data) recoverable
+// with no per-seq state.
 func (r *Reliable) goBackN(src *snet.Station, dst int, gs *gbnSend) {
 	gs.resending = true
-	top := gs.next
+	top := gs.win.Base() + gs.rt.Span(gs.win.Len())
 	r.k.Spawn("gbn-resend", func(p *sim.Proc) {
-		cursor := gs.base
+		cursor := gs.win.Base()
 		for cursor < top {
-			if cursor < gs.base {
-				cursor = gs.base // acks advanced past us mid-round
+			if cursor < gs.win.Base() {
+				cursor = gs.win.Base() // acks advanced past us mid-round
 				continue
 			}
-			off := cursor - gs.base
-			if off >= len(gs.inflight) {
+			off := cursor - gs.win.Base()
+			if off >= gs.win.Len() {
 				break
 			}
-			it := gs.inflight[off]
+			it := gs.win.Records()[off]
 			r.Retransmissions++
 			d := gbnData{seq: cursor, user: it.user, ackUpTo: r.takePiggyback(src.ID(), dst)}
 			for src.Send(p, dst, it.size, d) != snet.Delivered {
@@ -196,8 +177,8 @@ func (r *Reliable) goBackN(src *snet.Station, dst int, gs *gbnSend) {
 			cursor++
 		}
 		gs.resending = false
-		if gs.base < gs.next {
-			r.armWindowTimer(src, dst, gs)
+		if gs.win.Len() > 0 {
+			gs.rt.Arm()
 		}
 	})
 }
@@ -207,34 +188,20 @@ func (r *Reliable) goBackN(src *snet.Station, dst int, gs *gbnSend) {
 // window-blocked writer and, when the stream runs dry, the Drain
 // waiter.
 func (r *Reliable) applyAck(station, peer, upTo int) {
-	if r.winSend == nil {
-		return
-	}
 	gs := r.winSend[[2]int{station, peer}]
-	if gs == nil || upTo < gs.base {
+	if gs == nil || !gs.win.ReleaseThrough(upTo, nil) {
 		return
 	}
-	n := upTo - gs.base + 1
-	if n > len(gs.inflight) {
-		n = len(gs.inflight)
+	gs.rt.Stop()
+	if gs.win.Len() > 0 && !gs.resending {
+		gs.rt.Arm()
 	}
-	// Copy-shift so the slice keeps its capacity and drops payload refs.
-	copy(gs.inflight, gs.inflight[n:])
-	for i := len(gs.inflight) - n; i < len(gs.inflight); i++ {
-		gs.inflight[i] = gbnItem{}
-	}
-	gs.inflight = gs.inflight[:len(gs.inflight)-n]
-	gs.base += n
-	gs.timer.Stop()
-	if gs.base < gs.next && !gs.resending {
-		r.armWindowTimer(r.nw.Station(station), peer, gs)
-	}
-	if gs.fullWake != nil && gs.next-gs.base < r.wc.Window {
+	if gs.fullWake != nil && gs.win.Len() < r.wc.Window {
 		w := gs.fullWake
 		gs.fullWake = nil
 		w()
 	}
-	if gs.base >= gs.next && gs.idleWake != nil {
+	if gs.win.Len() == 0 && gs.idleWake != nil {
 		w := gs.idleWake
 		gs.idleWake = nil
 		w()
@@ -250,80 +217,62 @@ func (r *Reliable) recvWindowed(st *snet.Station, i int, m snet.Message, d gbnDa
 	if d.ackUpTo >= 0 && !m.Corrupt {
 		r.applyAck(i, m.Src, d.ackUpTo)
 	}
-	gr := r.recvState(i, m.Src)
+	gr := r.recvState(st, m.Src)
 	if m.Corrupt {
 		// Checksum failure: the immediate cumulative ack is the NAK
 		// equivalent — it tells the sender exactly where the in-order
 		// stream stands.
-		r.flushAck(st, i, m.Src, gr)
+		r.flushAck(st, m.Src, gr)
 		return
 	}
-	if d.seq == gr.expected {
-		gr.expected++
-		gr.owed++
+	if gr.cur.Classify(d.seq) == arq.InOrder {
+		gr.cur.Advance()
 		r.Delivered++
 		if fn := r.userFns[i]; fn != nil {
 			fn(snet.Message{Src: m.Src, Size: m.Size, Payload: d.user})
 		}
-		if gr.owed >= r.wc.AckBatch {
-			r.flushAck(st, i, m.Src, gr)
-		} else if !gr.armed {
-			gr.armed = true
-			gr.timer = r.k.After(r.wc.AckDelay, func() {
-				r.flushAck(st, i, m.Src, gr)
-			})
+		if gr.ack.Owe() {
+			r.flushAck(st, m.Src, gr)
 		}
 		return
 	}
 	// Duplicate (a go-back-N round re-covering old ground) or a gap
 	// (something ahead of a loss): both answered with the current
 	// cumulative position, immediately.
-	r.flushAck(st, i, m.Src, gr)
+	r.flushAck(st, m.Src, gr)
 }
 
 // flushAck transmits the cumulative ack for everything received in
 // order so far and accounts for how many arrivals it covered.
-func (r *Reliable) flushAck(st *snet.Station, station, peer int, gr *gbnRecv) {
-	gr.timer.Stop()
-	gr.armed = false
-	r.noteCoalesced(gr)
-	upTo := gr.expected - 1
-	r.k.Spawn("gbn-ack", func(p *sim.Proc) {
-		for st.Send(p, peer, relAckBytes, gbnAck{upTo: upTo}) != snet.Delivered {
-			p.Sleep(50 * sim.Microsecond)
-		}
-	})
+func (r *Reliable) flushAck(st *snet.Station, peer int, gr *gbnRecv) {
+	r.noteCoalesced(gr.ack.Take())
+	r.sendCtl(st, peer, "gbn-ack", gbnAck{upTo: gr.cur.Next() - 1})
 }
 
 // takePiggyback consumes a pending delayed ack owed to peer, returning
 // the cumulative position to fold into an outgoing data message, or -1
 // when nothing is owed.
 func (r *Reliable) takePiggyback(station, peer int) int {
-	if r.winRecv == nil {
-		return -1
-	}
 	gr := r.winRecv[[2]int{station, peer}]
-	if gr == nil || (!gr.armed && gr.owed == 0) {
+	if gr == nil || !gr.ack.Pending() {
 		return -1
 	}
-	gr.timer.Stop()
-	gr.armed = false
-	r.noteCoalesced(gr)
+	r.noteCoalesced(gr.ack.Take())
 	r.AcksPiggybacked++
 	if tr := r.Tracer; tr.Enabled() {
 		tr.Count("flowctl.acks.piggyback", 1)
 	}
-	return gr.expected - 1
+	return gr.cur.Next() - 1
 }
 
 // noteCoalesced charges the coalescing counters for an ack about to be
-// emitted: every owed arrival beyond the first rode along for free.
-func (r *Reliable) noteCoalesced(gr *gbnRecv) {
-	if gr.owed > 1 {
-		r.AcksCoalesced += gr.owed - 1
+// emitted covering owed arrivals: every one beyond the first rode
+// along for free.
+func (r *Reliable) noteCoalesced(owed int) {
+	if owed > 1 {
+		r.AcksCoalesced += owed - 1
 		if tr := r.Tracer; tr.Enabled() {
-			tr.Count("flowctl.acks.coalesced", float64(gr.owed-1))
+			tr.Count("flowctl.acks.coalesced", float64(owed-1))
 		}
 	}
-	gr.owed = 0
 }

@@ -92,15 +92,20 @@ func (f *shardedFabric) run(tt *testing.T) {
 // crossTraffic schedules a deterministic burst: every endpoint sends a
 // distinct-size message to the endpoint diametrically across the
 // topology, at staggered tie-free starts, with some same-cluster pairs
-// mixed in. Sends are scheduled on the sender's own shard.
-func crossTraffic(f *shardedFabric, done *int) {
+// mixed in. Sends are scheduled on the sender's own shard, and each
+// shard counts the sends its output sections accepted in its own slot
+// of the returned slice: shards run in parallel, so one shared counter
+// would be a data race. Sum the slots only after the run.
+func crossTraffic(f *shardedFabric) []int {
 	n := f.t.Endpoints()
+	accepted := make([]int, len(f.ics))
 	for e := 0; e < n; e++ {
 		src := topo.EndpointID(e)
 		dst := topo.EndpointID((e + n/2) % n)
 		size := 64 + 16*e
 		tag := fmt.Sprintf("x%d", e)
 		ic := f.icOf(src)
+		done := &accepted[f.part.OfEndpoint(f.t, src)]
 		start := sim.Time(1 + 13*e)
 		ic.k.At(start, func() {
 			msg := ic.AllocMessage()
@@ -114,6 +119,15 @@ func crossTraffic(f *shardedFabric, done *int) {
 			}
 		})
 	}
+	return accepted
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 func flattenSorted(logs [][]delivRec) []delivRec {
@@ -141,8 +155,7 @@ func TestShardedFabricMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := newShardedFabric(top, 1)
-	var sd int
-	crossTraffic(serial, &sd)
+	sd := crossTraffic(serial)
 	serial.run(t)
 	want := flattenSorted(serial.logs)
 	if len(want) == 0 {
@@ -151,9 +164,11 @@ func TestShardedFabricMatchesSerial(t *testing.T) {
 
 	for _, shards := range []int{2, 3, 6} {
 		f := newShardedFabric(top, shards)
-		var fd int
-		crossTraffic(f, &fd)
+		fd := crossTraffic(f)
 		f.run(t)
+		if sum(fd) != sum(sd) {
+			t.Fatalf("shards=%d: %d sends accepted, serial %d", shards, sum(fd), sum(sd))
+		}
 		got := flattenSorted(f.logs)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: %d deliveries, serial %d", shards, len(got), len(want))

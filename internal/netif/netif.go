@@ -17,6 +17,7 @@ package netif
 import (
 	"fmt"
 
+	"hpcvorx/internal/arq"
 	"hpcvorx/internal/hpc"
 	"hpcvorx/internal/kern"
 	"hpcvorx/internal/sim"
@@ -129,11 +130,11 @@ type IF struct {
 	// failures made the destination unreachable.
 	AsyncDropped int
 
-	// Incarnation fencing (PR 6). fences maps a source endpoint to the
+	// Incarnation fencing. fences holds, per source endpoint, the
 	// minimum incarnation this interface still accepts from it; frames
 	// stamped below the floor are refused before any service sees them
 	// and the sender is told to reboot.
-	fences map[topo.EndpointID]uint32
+	fences arq.Floor[topo.EndpointID]
 	// FencedDrops counts frames refused by an incarnation fence.
 	FencedDrops int
 	// SelfFences counts reboots forced by a fence note naming this
@@ -195,11 +196,9 @@ func Attach(node *kern.Node, ic *hpc.Interconnect, ep topo.EndpointID) *IF {
 			ic.FreeMessage(msg)
 			return
 		}
-		if len(f.fences) > 0 {
-			if min := f.fences[d.Msg.Src]; min > 0 && d.Msg.Inc < min {
-				f.refuse(d, min)
-				return
-			}
+		if min, ok := f.fences.Admit(d.Msg.Src, d.Msg.Inc); !ok {
+			f.refuse(d, min)
+			return
 		}
 		env, ok := d.Msg.Payload.(Envelope)
 		if !ok {
@@ -356,18 +355,11 @@ func (f *IF) SetVerifier(v Verifier) { f.verifier = v }
 // Fence refuses future frames from src stamped with an incarnation
 // below min. Raising an existing floor is allowed; lowering is a no-op
 // (fences only tighten).
-func (f *IF) Fence(src topo.EndpointID, min uint32) {
-	if f.fences == nil {
-		f.fences = make(map[topo.EndpointID]uint32)
-	}
-	if f.fences[src] < min {
-		f.fences[src] = min
-	}
-}
+func (f *IF) Fence(src topo.EndpointID, min uint32) { f.fences.Raise(src, min) }
 
 // FenceFloor returns the minimum incarnation accepted from src (0 when
 // unfenced).
-func (f *IF) FenceFloor(src topo.EndpointID) uint32 { return f.fences[src] }
+func (f *IF) FenceFloor(src topo.EndpointID) uint32 { return f.fences.Of(src) }
 
 // SendFenceNote ships a fence note to the machine at dst: "refuse
 // frames from target stamped below min" — or, when dst is target

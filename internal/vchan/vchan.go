@@ -19,13 +19,15 @@
 // the consumer, the same fencing PR 6 applied to incarnations, so a
 // slow writer that missed the move cannot interleave stale data.
 //
-// Reliability is end-to-end: the consumer acks cumulatively straight
-// back to the producer (delayed/coalesced, PR 5 style), the producer
-// retains every unacked write and retransmits go-back-N on the
-// current placement. A lane bounds the unacked frames each producing
-// machine may have on it (the per-lane window), so tenants sharing a
-// lane contend for window credit — the multiplexing cost E17
-// measures.
+// Reliability is end-to-end and built from the shared internal/arq
+// core: the consumer acks cumulatively straight back to the producer
+// (delayed and coalesced by arq.Acker), the producer retains every
+// unacked write in an arq.Window and re-offers the oldest on the
+// current placement under the arq.HeadBackoff policy, and brokers
+// fence stale terms with an arq.Floor. A lane bounds the unacked
+// frames each producing machine may have on it (the per-lane window),
+// so tenants sharing a lane contend for window credit — the
+// multiplexing cost E17 measures.
 //
 // Everything here is deterministic: the balancer runs on a simulated
 // machine, all control traffic is ordinary fabric messages with
@@ -34,10 +36,12 @@
 package vchan
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
+	"hpcvorx/internal/arq"
 	"hpcvorx/internal/channels"
 	"hpcvorx/internal/core"
 	"hpcvorx/internal/hpc"
@@ -60,6 +64,33 @@ const (
 	CtrlBytes = 64
 )
 
+// Protocol timing. Everything but placement and the window is fixed.
+const (
+	// retransTimeout is the producer's first retransmit wait; the
+	// head-backoff policy doubles it on each unanswered timeout.
+	retransTimeout = 1500 * sim.Microsecond
+	// ctrlRetry is the balancer's control-message retransmit period.
+	ctrlRetry = 400 * sim.Microsecond
+	// drainTimeout bounds how long a migration waits for the old
+	// placement to drain before forcing the move.
+	drainTimeout = 2 * sim.Millisecond
+	// reportEvery is the broker load-report period, which is also the
+	// balancer's failure-sweep period.
+	reportEvery = 500 * sim.Microsecond
+	// silenceAfter is how long without a report before a broker is
+	// deemed dead. Reports share the wire with data, so under
+	// saturation a healthy broker's report can queue behind a full
+	// window of frames; the silence bound must sit above that worst
+	// case or load itself looks like death and the balancer churns
+	// placements between equally-congested brokers. Silence is the slow
+	// fallback — quorum-confirmed death via super.OnConfirm →
+	// BrokerConfirmedDead is the fast path.
+	silenceAfter = 25 * reportEvery
+	// autoRatio is the hot/cold lane byte ratio above which the
+	// automatic balancer moves a vchannel.
+	autoRatio = 4.0
+)
+
 // Config tunes the fabric. The zero value of any field selects the
 // documented default.
 type Config struct {
@@ -74,40 +105,15 @@ type Config struct {
 	// hosts (default 2).
 	LanesPerBroker int
 	// Window caps unacked frames per (producing machine, lane)
-	// (default 8, mirroring the pipelined profile).
+	// (default 8, mirroring the pipelined profile). The consumer's
+	// cumulative ack goes out after Window/2 deliveries (at least 1)
+	// or arq.AckDelay, whichever comes first.
 	Window int
-	// AckDelay is the consumer's ack-coalescing horizon (default
-	// 100µs); AckBatch flushes early after that many deliveries
-	// (default Window/2, min 1).
-	AckDelay sim.Duration
-	AckBatch int
-	// RetransTimeout is the producer's go-back-N timer (default
-	// 1.5ms).
-	RetransTimeout sim.Duration
-	// CtrlRetry is the balancer's control-message retransmit period
-	// (default 400µs).
-	CtrlRetry sim.Duration
-	// DrainTimeout bounds how long a migration waits for the old
-	// placement to drain before forcing the move (default 2ms).
-	DrainTimeout sim.Duration
-	// ReportEvery is the broker load-report period, which is also the
-	// balancer's failure-sweep period (default 500µs). SilenceAfter
-	// is how long without a report before a broker is deemed dead
-	// (default 25×ReportEvery). Reports share the wire with data, so
-	// under saturation a healthy broker's report can queue behind a
-	// full window of frames; the silence default must sit above that
-	// worst case or load itself looks like death and the balancer
-	// churns placements between equally-congested brokers. Silence is
-	// the slow fallback — quorum-confirmed death via
-	// super.OnConfirm → BrokerConfirmedDead is the fast path.
-	ReportEvery  sim.Duration
-	SilenceAfter sim.Duration
 	// AutoEvery enables the automatic load balancer: every AutoEvery
 	// the hottest lane is compared against the coldest and one
-	// vchannel migrated when the byte ratio exceeds AutoRatio
-	// (default 4.0). Zero AutoEvery means manual/DSL rebalance only.
+	// vchannel migrated when the byte ratio exceeds 4. Zero AutoEvery
+	// means manual/DSL rebalance only.
 	AutoEvery sim.Duration
-	AutoRatio float64
 }
 
 func (c *Config) fill() {
@@ -119,33 +125,6 @@ func (c *Config) fill() {
 	}
 	if c.Window == 0 {
 		c.Window = 8
-	}
-	if c.AckDelay == 0 {
-		c.AckDelay = 100 * sim.Microsecond
-	}
-	if c.AckBatch == 0 {
-		c.AckBatch = c.Window / 2
-	}
-	if c.AckBatch < 1 {
-		c.AckBatch = 1
-	}
-	if c.RetransTimeout == 0 {
-		c.RetransTimeout = 1500 * sim.Microsecond
-	}
-	if c.CtrlRetry == 0 {
-		c.CtrlRetry = 400 * sim.Microsecond
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 2 * sim.Millisecond
-	}
-	if c.ReportEvery == 0 {
-		c.ReportEvery = 500 * sim.Microsecond
-	}
-	if c.SilenceAfter == 0 {
-		c.SilenceAfter = 25 * c.ReportEvery
-	}
-	if c.AutoRatio == 0 {
-		c.AutoRatio = 4.0
 	}
 }
 
@@ -407,7 +386,7 @@ type Service struct {
 	// broker state: assignments and term floors. Wiped on crash — a
 	// rebooted broker holds nothing until the balancer re-assigns.
 	assigns map[uint64]*assignment
-	floors  map[uint64]uint32
+	floors  arq.Floor[uint64]
 	// per-lane and per-vchan forwarded bytes since the last report.
 	fwdLane  map[uint32]int64
 	fwdVChan map[uint64]int64
@@ -435,29 +414,19 @@ type laneState struct {
 func (s *Service) Dump(out io.Writer) {
 	for _, w := range s.worder {
 		fmt.Fprintf(out, "%s: writer %s term=%d lane=%d seq=%d ackHigh=%d pending=%d placed=%v sealed=%v stale=%v timer=%v\n",
-			s.m.Name(), w.name, w.term, w.lane, w.seq, w.ackHigh, len(w.pending), w.placed, w.sealed, w.stale, w.timerOn)
+			s.m.Name(), w.name, w.term, w.lane, w.seq, w.AckHigh(), w.win.Len(), w.placed, w.sealed, w.stale, w.rt.Armed())
 	}
 	for _, r := range s.rorder {
 		fmt.Fprintf(out, "%s: reader %s term=%d expect=%d ready=%d delivered=%d\n",
-			s.m.Name(), r.name, r.term, r.expect, len(r.ready), r.Delivered)
+			s.m.Name(), r.name, r.term, r.cur.Next(), len(r.ready), r.Delivered)
 	}
-	ids := make([]uint32, 0, len(s.lanes))
-	for id := range s.lanes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(s.lanes) {
 		l := s.lanes[id]
 		if l.inflight != 0 || len(l.waiters) != 0 {
 			fmt.Fprintf(out, "%s: lane%d inflight=%d waiters=%d\n", s.m.Name(), id, l.inflight, len(l.waiters))
 		}
 	}
-	vs := make([]uint64, 0, len(s.assigns))
-	for v := range s.assigns {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	for _, v := range vs {
+	for _, v := range sortedKeys(s.assigns) {
 		a := s.assigns[v]
 		fmt.Fprintf(out, "%s: assign v=%d term=%d lane=%d\n", s.m.Name(), v, a.term, a.lane)
 	}
@@ -477,9 +446,8 @@ type Writer struct {
 	name string
 	cons topo.EndpointID
 
-	seq     int // next sequence to mint
-	ackHigh int // highest cumulatively acked
-	pending []*vWrite
+	seq int                 // next sequence to mint
+	win arq.Window[*vWrite] // retained, unacked writes; Base()-1 is the cumulative ack
 
 	term   uint32
 	lane   uint32
@@ -488,9 +456,7 @@ type Writer struct {
 	sealed bool
 	stale  bool // nacked above our term: hold fire until the next place
 
-	timer   sim.Timer
-	timerOn bool
-	backoff uint8 // consecutive timeouts without ack progress
+	rt arq.Retrans // head-backoff retransmit timer
 }
 
 type vWrite struct {
@@ -502,6 +468,8 @@ type vWrite struct {
 	lane    uint32
 }
 
+func (rec *vWrite) Seq() int { return rec.seq }
+
 // Reader is the consuming end of a vchannel.
 type Reader struct {
 	svc  *Service
@@ -509,14 +477,11 @@ type Reader struct {
 	name string
 	prod topo.EndpointID
 
-	expect int // next sequence to accept
-	term   uint32
-	ready  []Msg
-	wake   func()
-
-	owed    int
-	ackOn   bool
-	ackTick sim.Timer
+	cur   arq.Cursor // next sequence to accept
+	term  uint32
+	ready []Msg
+	wake  func()
+	ack   arq.Acker
 
 	// Delivered counts in-order application deliveries.
 	Delivered int
@@ -531,7 +496,6 @@ func newService(f *Fabric, m *core.Machine) *Service {
 		readers:  make(map[uint64]*Reader),
 		lanes:    make(map[uint32]*laneState),
 		assigns:  make(map[uint64]*assignment),
-		floors:   make(map[uint64]uint32),
 		fwdLane:  make(map[uint32]int64),
 		fwdVChan: make(map[uint64]int64),
 	}
@@ -571,10 +535,8 @@ func (s *Service) tracer() *trace.Tracer { return s.m.Kern.Tracer() }
 func (s *Service) vf() Verifier { return s.fab.vf }
 
 func (s *Service) addWriter(r *reg, cons topo.EndpointID) *Writer {
-	// ackHigh is -1 until the first cumulative ack: sequence numbers
-	// start at 0, so the zero value would swallow the ack for seq 0 —
-	// fatal at window 1, where that ack is the only source of credit.
-	w := &Writer{svc: s, id: r.id, name: r.name, cons: cons, ackHigh: -1}
+	w := &Writer{svc: s, id: r.id, name: r.name, cons: cons}
+	w.rt.Init(s.m.Kern.Kernel(), arq.HeadBackoff(retransTimeout), func() { s.retransFire(w) })
 	s.writers[r.id] = w
 	s.worder = append(s.worder, w)
 	return w
@@ -582,6 +544,11 @@ func (s *Service) addWriter(r *reg, cons topo.EndpointID) *Writer {
 
 func (s *Service) addReader(r *reg, prod topo.EndpointID) *Reader {
 	rd := &Reader{svc: s, id: r.id, name: r.name, prod: prod}
+	rd.ack.Init(s.m.Kern.Kernel(), arq.AckDelay, arq.AckBatch(s.fab.cfg.Window), func() {
+		if !s.m.Kern.Crashed() {
+			s.flushAck(rd)
+		}
+	})
 	s.readers[r.id] = rd
 	s.rorder = append(s.rorder, rd)
 	return rd
@@ -647,7 +614,7 @@ func (w *Writer) Write(sp *kern.Subprocess, size int, payload any) error {
 	tid := s.tracer().NewTraceID()
 	rec := &vWrite{seq: w.seq, size: size, pay: payload, tid: tid}
 	w.seq++
-	w.pending = append(w.pending, rec)
+	w.win.Push(rec)
 	if v := s.vf(); v != nil {
 		v.VChanWrite(w.id, w.name, rec.seq, size, payload, w.term)
 	}
@@ -664,18 +631,19 @@ func (w *Writer) Write(sp *kern.Subprocess, size int, payload any) error {
 		s.tracer().Emit(trace.KBlocked, tid, s.m.Name(), "vchan/"+w.name,
 			fmt.Sprintf("seq=%d unroutable", rec.seq))
 	}
-	w.armTimer()
+	w.rt.Arm()
 	return nil
 }
 
 // Pending reports retained, unacked writes.
-func (w *Writer) Pending() int { return len(w.pending) }
+func (w *Writer) Pending() int { return w.win.Len() }
 
 // Term reports the writer's current placement term.
 func (w *Writer) Term() uint32 { return w.term }
 
-// AckHigh reports the highest cumulatively acked sequence.
-func (w *Writer) AckHigh() int { return w.ackHigh }
+// AckHigh reports the highest cumulatively acked sequence (-1 before
+// the first ack).
+func (w *Writer) AckHigh() int { return w.win.Base() - 1 }
 
 func (s *Service) charge(w *Writer, rec *vWrite) {
 	l := s.lane(w.lane)
@@ -709,12 +677,7 @@ func (s *Service) wakeLane(l *laneState) {
 // wakeAll releases every blocked writer on every lane (placement
 // changed; canSend is re-evaluated by each).
 func (s *Service) wakeAll() {
-	ids := make([]uint32, 0, len(s.lanes))
-	for id := range s.lanes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(s.lanes) {
 		l := s.lanes[id]
 		for len(l.waiters) > 0 {
 			wake := l.waiters[0]
@@ -724,81 +687,48 @@ func (s *Service) wakeAll() {
 	}
 }
 
-func (w *Writer) armTimer() {
-	s := w.svc
-	if w.timerOn {
-		w.timer.Stop()
-	}
-	w.timerOn = true
-	rto := s.fab.cfg.RetransTimeout << w.backoff
-	w.timer = s.m.Kern.Kernel().After(rto, func() {
-		w.timerOn = false
-		s.retransFire(w)
-	})
-}
-
-func (w *Writer) stopTimer() {
-	if w.timerOn {
-		w.timer.Stop()
-		w.timerOn = false
-	}
-}
-
-// retransFire is the producer's recovery timer: re-offer the OLDEST
-// retained write on the current placement at the current term, with
-// exponential backoff until an ack makes progress. Head-only, not a
-// full go-back-N burst: the fabric never silently drops, so under
-// congestion the whole window is merely late, and resending all of it
-// every timeout amplifies the overload until duplicate traffic crowds
-// out fresh frames and acks entirely (congestion collapse). One head
-// frame per timeout plus the consumer's cumulative ack recovers real
-// loss (crash, partition, gray) one hole at a time. Runs while sealed
-// too — retransmission is what drains a lossy lane — but not while
-// stale (the placement is known dead; wait for the balancer).
+// retransFire is the producer's recovery timer under the arq
+// head-backoff policy: re-offer the oldest retained write on the
+// current placement at the current term. Runs while sealed too —
+// retransmission is what drains a lossy lane — but not while stale
+// (the placement is known dead; wait for the balancer).
 func (s *Service) retransFire(w *Writer) {
-	if s.m.Kern.Crashed() || len(w.pending) == 0 || !w.placed || w.stale {
+	if s.m.Kern.Crashed() || w.win.Len() == 0 || !w.placed || w.stale {
 		return
 	}
-	rec := w.pending[0]
-	fr := &vFrame{v: w.id, name: w.name, term: w.term, seq: rec.seq,
-		size: rec.size, pay: rec.pay, src: s.f.Endpoint(), hop: 0, tid: rec.tid}
-	s.f.SendAsyncCtx(rec.tid, w.broker, "vchan.data", rec.size+FrameHeaderBytes, fr, nil)
-	s.tracer().Emit(trace.KRetransmit, rec.tid, s.m.Name(), "vchan/"+w.name,
-		fmt.Sprintf("seq=%d term=%d backoff=%d", rec.seq, w.term, w.backoff))
-	s.Retransmits++
-	if w.backoff < 5 {
-		w.backoff++
+	for _, rec := range w.win.Records()[:w.rt.Span(w.win.Len())] {
+		fr := &vFrame{v: w.id, name: w.name, term: w.term, seq: rec.seq,
+			size: rec.size, pay: rec.pay, src: s.f.Endpoint(), hop: 0, tid: rec.tid}
+		s.f.SendAsyncCtx(rec.tid, w.broker, "vchan.data", rec.size+FrameHeaderBytes, fr, nil)
+		s.tracer().Emit(trace.KRetransmit, rec.tid, s.m.Name(), "vchan/"+w.name,
+			fmt.Sprintf("seq=%d term=%d backoff=%d", rec.seq, w.term, w.rt.Shift()))
+		s.Retransmits++
 	}
-	w.armTimer()
+	w.rt.Backoff()
+	w.rt.Arm()
 }
 
 func (s *Service) handleAck(m *hpc.Message) {
 	a := m.Payload.(netif.Envelope).Body.(*vAck)
 	w := s.writers[a.v]
-	if w == nil || a.upTo <= w.ackHigh {
-		return
-	}
-	for len(w.pending) > 0 && w.pending[0].seq <= a.upTo {
-		rec := w.pending[0]
-		copy(w.pending, w.pending[1:])
-		w.pending[len(w.pending)-1] = nil
-		w.pending = w.pending[:len(w.pending)-1]
+	if w == nil || !w.win.ReleaseThrough(a.upTo, func(rec *vWrite) {
 		s.uncharge(rec)
 		s.tracer().Emit(trace.KAck, rec.tid, s.m.Name(), "vchan/"+w.name,
 			fmt.Sprintf("seq=%d", rec.seq))
+	}) {
+		return
 	}
-	w.ackHigh = a.upTo
-	w.backoff = 0 // ack progress: the path is alive, retransmit briskly again
+	w.rt.Progress() // the path is alive: retransmit briskly again
 	if v := s.vf(); v != nil {
 		v.VChanAck(w.id, w.name, a.upTo)
 	}
-	if len(w.pending) == 0 {
-		w.stopTimer()
+	if w.win.Len() == 0 {
+		w.rt.Stop()
 		if w.sealed {
 			s.sendDrained(w)
 		}
 	} else {
-		w.armTimer()
+		w.rt.Arm()
 	}
 }
 
@@ -815,13 +745,13 @@ func (s *Service) handleNack(m *hpc.Message) {
 	// earlier silence was loss, not congestion.
 	if n.minTerm > w.term {
 		w.stale = true
-		w.stopTimer()
+		w.rt.Stop()
 		return
 	}
-	if w.backoff > 0 {
-		w.backoff = 0
-		if w.timerOn {
-			w.armTimer()
+	if w.rt.Shift() > 0 {
+		w.rt.Progress()
+		if w.rt.Armed() {
+			w.rt.Arm()
 		}
 	}
 }
@@ -832,9 +762,9 @@ func (s *Service) handleNack(m *hpc.Message) {
 func (s *Service) sendDrained(w *Writer) {
 	s.f.SendAsyncCtx(0, s.fab.bal.ep, "vchan.ctrl", CtrlBytes,
 		&ctrlMsg{kind: ctrlDrained, v: w.id, name: w.name, term: w.term,
-			stable: w.ackHigh, from: s.f.Endpoint()}, nil)
+			stable: w.AckHigh(), from: s.f.Endpoint()}, nil)
 	s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+w.name,
-		fmt.Sprintf("drained term=%d stable=%d", w.term, w.ackHigh))
+		fmt.Sprintf("drained term=%d stable=%d", w.term, w.AckHigh()))
 }
 
 // broker side --------------------------------------------------------
@@ -850,7 +780,7 @@ func (s *Service) handleData(m *hpc.Message) {
 
 func (s *Service) brokerData(fr *vFrame) {
 	a := s.assigns[fr.v]
-	cur := s.floors[fr.v]
+	cur := s.floors.Of(fr.v)
 	if a != nil && a.term > cur {
 		cur = a.term
 	}
@@ -891,6 +821,17 @@ func (s *Service) refuseStale(fr *vFrame, where string, cur uint32) {
 
 func laneName(id uint32) string { return fmt.Sprintf("lane%d", id) }
 
+// sortedKeys returns m's keys in increasing order, so iteration over a
+// map stays deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
 // consumer side ------------------------------------------------------
 
 func (s *Service) consumerData(fr *vFrame) {
@@ -908,8 +849,8 @@ func (s *Service) consumerData(fr *vFrame) {
 		s.EarlyDropped++
 		return
 	}
-	switch {
-	case fr.seq < r.expect:
+	switch r.cur.Classify(fr.seq) {
+	case arq.Dup:
 		// Redundant (retransmit or cross-term replay of delivered
 		// data): suppress, re-assert our cumulative position.
 		s.Dups++
@@ -917,7 +858,7 @@ func (s *Service) consumerData(fr *vFrame) {
 			v.VChanDeliver(fr.v, r.name, fr.seq, fr.pay, fr.term, true)
 		}
 		s.flushAck(r)
-	case fr.seq > r.expect:
+	case arq.Ahead:
 		// Gap: go-back-N will restore order; remind the producer
 		// where we stand.
 		s.Gaps++
@@ -926,7 +867,7 @@ func (s *Service) consumerData(fr *vFrame) {
 		if v := s.vf(); v != nil {
 			v.VChanDeliver(fr.v, r.name, fr.seq, fr.pay, fr.term, false)
 		}
-		r.expect++
+		r.cur.Advance()
 		r.Delivered++
 		r.ready = append(r.ready, Msg{Size: fr.size, Payload: fr.pay, Seq: fr.seq, Term: fr.term})
 		s.tracer().Emit(trace.KChanDel, fr.tid, s.m.Name(), "vchan/"+r.name,
@@ -936,39 +877,16 @@ func (s *Service) consumerData(fr *vFrame) {
 			r.wake = nil
 			wake()
 		}
-		r.owed++
-		if r.owed >= s.fab.cfg.AckBatch {
-			s.flushAck(r)
-		} else {
-			s.armAck(r)
-		}
-	}
-}
-
-func (s *Service) armAck(r *Reader) {
-	if r.ackOn {
-		return
-	}
-	r.ackOn = true
-	r.ackTick = s.m.Kern.Kernel().After(s.fab.cfg.AckDelay, func() {
-		r.ackOn = false
-		if s.m.Kern.Crashed() {
-			return
-		}
-		if r.owed > 0 {
+		if r.ack.Owe() {
 			s.flushAck(r)
 		}
-	})
+	}
 }
 
 func (s *Service) flushAck(r *Reader) {
-	r.owed = 0
-	if r.ackOn {
-		r.ackTick.Stop()
-		r.ackOn = false
-	}
+	r.ack.Take()
 	s.f.SendAsyncCtx(0, r.prod, "vchan.ack", AckBytes,
-		&vAck{v: r.id, upTo: r.expect - 1}, nil)
+		&vAck{v: r.id, upTo: r.cur.Next() - 1}, nil)
 }
 
 // Read consumes the next in-order message, blocking until one
@@ -992,7 +910,7 @@ func (r *Reader) Read(sp *kern.Subprocess) (Msg, error) {
 }
 
 // Expect reports the reader's delivery cursor (next sequence).
-func (r *Reader) Expect() int { return r.expect }
+func (r *Reader) Expect() int { return r.cur.Next() }
 
 // Term reports the reader's current term.
 func (r *Reader) Term() uint32 { return r.term }
@@ -1020,9 +938,9 @@ func (s *Service) handleCtrl(m *hpc.Message) {
 			if !w.sealed {
 				w.sealed = true
 				s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+w.name,
-					fmt.Sprintf("sealed term=%d pending=%d", w.term, len(w.pending)))
+					fmt.Sprintf("sealed term=%d pending=%d", w.term, w.win.Len()))
 			}
-			if len(w.pending) == 0 {
+			if w.win.Len() == 0 {
 				s.sendDrained(w)
 			}
 		}
@@ -1030,28 +948,24 @@ func (s *Service) handleCtrl(m *hpc.Message) {
 		s.applyPlace(c)
 	case ctrlAssign:
 		s.assigns[c.v] = &assignment{term: c.term, lane: c.lane, consumer: c.consumer}
-		if c.term > s.floors[c.v] {
-			s.floors[c.v] = c.term
-		}
+		s.floors.Raise(c.v, c.term)
 		s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), laneName(c.lane),
 			fmt.Sprintf("assign %s term=%d", c.name, c.term))
 	case ctrlRevoke:
 		if a := s.assigns[c.v]; a != nil && a.term <= c.term {
 			delete(s.assigns, c.v)
 		}
-		if c.term+1 > s.floors[c.v] {
-			s.floors[c.v] = c.term + 1
-		}
+		s.floors.Raise(c.v, c.term+1)
 		s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+c.name,
 			fmt.Sprintf("revoke term<=%d", c.term))
 	case ctrlExpect:
 		if r := s.readers[c.v]; r != nil && c.term > r.term {
 			r.term = c.term
 			if v := s.vf(); v != nil {
-				v.VChanExpect(r.id, r.name, c.term, r.expect)
+				v.VChanExpect(r.id, r.name, c.term, r.cur.Next())
 			}
 			s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+r.name,
-				fmt.Sprintf("expect term=%d resume=%d", c.term, r.expect))
+				fmt.Sprintf("expect term=%d resume=%d", c.term, r.cur.Next()))
 		}
 	default:
 		return
@@ -1075,13 +989,13 @@ func (s *Service) applyPlace(c *ctrlMsg) {
 	w.placed = true
 	w.sealed = false
 	w.stale = false
-	w.backoff = 0
+	w.rt.Progress()
 	s.tracer().GaugeSet("vchan.term", float64(c.term))
 	// Re-home the window charge: retained writes move with the
 	// placement. The new lane may transiently exceed its window —
 	// migration does not drop retained data — but no new write is
 	// admitted until the charge falls below the window again.
-	for _, rec := range w.pending {
+	for _, rec := range w.win.Records() {
 		if rec.charged {
 			l := s.lane(rec.lane)
 			l.inflight--
@@ -1091,20 +1005,20 @@ func (s *Service) applyPlace(c *ctrlMsg) {
 		rec.lane = w.lane
 	}
 	nl := s.lane(w.lane)
-	nl.inflight += len(w.pending)
+	pending := w.win.Records()
+	nl.inflight += len(pending)
 	s.tracer().Emit(trace.KMigrate, 0, s.m.Name(), "vchan/"+w.name,
-		fmt.Sprintf("placed term=%d lane=%d replay=%d", w.term, w.lane, len(w.pending)))
-	if len(w.pending) > 0 {
+		fmt.Sprintf("placed term=%d lane=%d replay=%d", w.term, w.lane, len(pending)))
+	if len(pending) > 0 {
 		if v := s.vf(); v != nil {
-			v.VChanReplay(w.id, w.name, w.term,
-				w.pending[0].seq, w.pending[len(w.pending)-1].seq)
+			v.VChanReplay(w.id, w.name, w.term, pending[0].seq, pending[len(pending)-1].seq)
 		}
-		for _, rec := range w.pending {
+		for _, rec := range pending {
 			fr := &vFrame{v: w.id, name: w.name, term: w.term, seq: rec.seq,
 				size: rec.size, pay: rec.pay, src: s.f.Endpoint(), hop: 0, tid: rec.tid}
 			s.f.SendAsyncCtx(rec.tid, w.broker, "vchan.data", rec.size+FrameHeaderBytes, fr, nil)
 		}
-		w.armTimer()
+		w.rt.Arm()
 	}
 	s.wakeAll()
 }
@@ -1119,19 +1033,16 @@ func (s *Service) applyPlace(c *ctrlMsg) {
 // the floor is re-taught.
 func (s *Service) onCrash() {
 	s.assigns = make(map[uint64]*assignment)
-	s.floors = make(map[uint64]uint32)
+	s.floors.Reset()
 	s.fwdLane = make(map[uint32]int64)
 	s.fwdVChan = make(map[uint64]int64)
 	for _, w := range s.worder {
-		w.stopTimer()
+		w.rt.Stop()
 		w.placed = false
-		w.pending = nil
+		w.win.Reset()
 	}
 	for _, r := range s.rorder {
-		if r.ackOn {
-			r.ackTick.Stop()
-			r.ackOn = false
-		}
+		r.ack.Stop()
 		r.ready = nil
 		r.wake = nil
 	}
@@ -1149,26 +1060,16 @@ func (s *Service) startReports() {
 	if s.stopRep != nil {
 		return
 	}
-	s.stopRep = s.m.Kern.Beacon(s.fab.cfg.ReportEvery, s.sendReport)
+	s.stopRep = s.m.Kern.Beacon(reportEvery, s.sendReport)
 }
 
 func (s *Service) sendReport() {
-	lanes := make([]uint32, 0, len(s.fwdLane))
-	for id := range s.fwdLane {
-		lanes = append(lanes, id)
-	}
-	sort.Slice(lanes, func(i, j int) bool { return lanes[i] < lanes[j] })
-	lb := make([]laneBytes, 0, len(lanes))
-	for _, id := range lanes {
+	lb := make([]laneBytes, 0, len(s.fwdLane))
+	for _, id := range sortedKeys(s.fwdLane) {
 		lb = append(lb, laneBytes{lane: id, bytes: s.fwdLane[id]})
 	}
-	vs := make([]uint64, 0, len(s.fwdVChan))
-	for v := range s.fwdVChan {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	vb := make([]vchanBytes, 0, len(vs))
-	for _, v := range vs {
+	vb := make([]vchanBytes, 0, len(s.fwdVChan))
+	for _, v := range sortedKeys(s.fwdVChan) {
 		vb = append(vb, vchanBytes{v: v, bytes: s.fwdVChan[v]})
 	}
 	s.fwdLane = make(map[uint32]int64)

@@ -112,8 +112,8 @@ func TestBasicFIFOExactlyOnce(t *testing.T) {
 	checkFIFO(t, got, 20)
 	for _, rc := range rig.regs {
 		w := rig.fab.On(rc.prod).writers[rig.fab.byName[rc.name].id]
-		if len(w.pending) != 0 {
-			t.Errorf("%s: %d writes never acked", rc.name, len(w.pending))
+		if w.Pending() != 0 {
+			t.Errorf("%s: %d writes never acked", rc.name, w.Pending())
 		}
 	}
 }
