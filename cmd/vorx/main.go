@@ -59,11 +59,10 @@ commands:
             (-fence enables partition-tolerant quorum + fencing)
   vchan     multiplex vchannels over broker lanes and live-migrate one
             mid-stream (-auto enables load-driven rebalancing)
-  bench     measure simulator performance; -json writes BENCH_<rev>.json
 
-every command takes -shards N; only bench and chaos -shardsweep run a
-simulation split over parallel shards (conservative lookahead), the
-demos clamp to the serial kernel with a note
+every command takes -shards N; only chaos -shardsweep runs a simulation
+split over parallel shards (conservative lookahead), the demos clamp to
+the serial kernel with a note
 `)
 	os.Exit(2)
 }
@@ -95,8 +94,6 @@ func main() {
 		runHeal(os.Args[2:], nil)
 	case "vchan":
 		runVChan(os.Args[2:], nil)
-	case "bench":
-		cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
@@ -126,10 +123,9 @@ func commFlag(fs *flag.FlagSet) func() core.CommProfile {
 // supervision oracle all need features the sharded build rejects
 // (sharded systems keep tracers disabled and panic on link faults).
 // Call the returned resolver after parsing: it warns when a split was
-// asked for and the command falls back to one shard — the same honest
-// clamp `vorx bench` applies to its Workers pool on small hosts.
-// Commands that genuinely shard (`vorx bench`, `vorx chaos
-// -shardsweep`) register their own -shards instead.
+// asked for and the command falls back to one shard. `vorx chaos`,
+// whose -shardsweep genuinely shards, registers its own -shards
+// instead.
 func shardsFlag(fs *flag.FlagSet, why string) func() {
 	n := fs.Int("shards", 1, "parallel simulation shards (this command clamps to 1)")
 	return func() {

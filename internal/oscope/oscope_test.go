@@ -13,7 +13,7 @@ import (
 
 // imbalancedSystem runs a 2-node app where node0 computes for 10 ms
 // while node1 waits for input the whole time.
-func imbalancedSystem(t *testing.T) (*core.System, *oscope.Scope) {
+func imbalancedSystem(t testing.TB) (*core.System, *oscope.Scope) {
 	t.Helper()
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
 	if err != nil {
@@ -256,8 +256,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 9 0\n")); err == nil {
 		t.Fatal("future version should fail")
 	}
-	if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnodeX 0 bad 0\n")); err == nil {
-		t.Fatal("bad line should fail")
+	// Version 1 (the private "node start end cat" format) is no
+	// longer read: Save writes only version 2.
+	if _, err := oscope.Load(strings.NewReader("oscope-trace 1 1\nnode9 0 1000 0\n")); err == nil ||
+		!strings.Contains(err.Error(), "unsupported trace version 1") {
+		t.Fatalf("v1 trace: err = %v, want unsupported trace version 1", err)
 	}
 	if _, err := oscope.Load(strings.NewReader("oscope-trace 2 1\nnot an event line\n")); err == nil {
 		t.Fatal("bad v2 line should fail")
@@ -267,9 +270,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFromTracerMatchesLiveScope checks the unification satellite: the
+// TestFromTracerMatchesLiveScope checks the trace/oscope unification: the
 // KAccount spans the system tracer records reproduce exactly what a
-// live-attached oscilloscope saw, and survive a v1 file round trip too.
+// live-attached oscilloscope saw.
 func TestFromTracerMatchesLiveScope(t *testing.T) {
 	sys, err := core.Build(core.Config{Nodes: 2, Seed: 1})
 	if err != nil {
@@ -297,14 +300,5 @@ func TestFromTracerMatchesLiveScope(t *testing.T) {
 	from.Render(&replay, 0, end, 30)
 	if live.String() != replay.String() {
 		t.Fatalf("tracer replay differs from live scope:\n%s\nvs\n%s", live.String(), replay.String())
-	}
-	// The legacy v1 format must stay loadable.
-	v1 := "oscope-trace 1 1\nnode9 0 1000 0\n"
-	loaded, err := oscope.Load(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Intervals("node9"); len(got) != 1 || got[0].End != sim.Time(1000) {
-		t.Fatalf("v1 load: %v", got)
 	}
 }

@@ -94,7 +94,12 @@ func ReadFlight(r io.Reader) ([]Event, error) {
 	if version != 1 {
 		return nil, fmt.Errorf("trace: unsupported flight version %d", version)
 	}
-	events := make([]Event, 0, count)
+	if count < 0 {
+		return nil, fmt.Errorf("trace: bad flight header %q", sc.Text())
+	}
+	// The header's count is only a capacity hint until the lines are
+	// counted: a damaged header must not size the allocation.
+	events := make([]Event, 0, min(count, 1<<16))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

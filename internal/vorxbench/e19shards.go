@@ -14,10 +14,9 @@ import (
 // E19 measures the parallel discrete-event kernel: the same
 // installation and workload run at increasing shard counts, checking
 // that every split dispatches byte-identically to the serial run and
-// reporting how the event volume divides across shards. Virtual-time
-// columns are deterministic; the events/sec note is wall-clock and
-// scales with host CPUs, so E19 sits with E14/E18 outside the
-// replication identity check.
+// reporting how the event volume divides across shards. The table is
+// deterministic; the events/sec figures are wall-clock and scale with
+// host CPUs, so they are host notes, outside the rendered table.
 
 // E19 geometry: 1 host + 31 nodes is 8 clusters of 4, the largest
 // power-of-two cluster count the default pool shape yields, so the
@@ -28,11 +27,11 @@ const (
 	e19Msgs  = 10
 )
 
-// ShardMeasure is one measured execution of a sharded workload: the
+// shardMeasure is one measured execution of a sharded workload: the
 // deterministic outcome digest (byte-comparable across shard counts),
 // the virtual-time event volume, and the host-dependent wall clock
 // plus conservative-synchronization counters.
-type ShardMeasure struct {
+type shardMeasure struct {
 	Shards   int
 	Digest   string
 	Events   uint64
@@ -49,7 +48,7 @@ type e19Outcome struct {
 }
 
 // e19Run drives the cross-cluster pair workload at one shard count.
-func e19Run(shards int) ShardMeasure {
+func e19Run(shards int) shardMeasure {
 	sh, err := core.BuildSharded(core.Config{Hosts: 1, Nodes: e19Nodes, Seed: 19, Shards: shards})
 	if err != nil {
 		panic(err)
@@ -100,7 +99,7 @@ func e19Run(shards int) ShardMeasure {
 			makespan = n
 		}
 	}
-	return ShardMeasure{
+	return shardMeasure{
 		Shards:   shards,
 		Digest:   b.String(),
 		Events:   sh.Group.Scheduled(),
@@ -112,10 +111,6 @@ func e19Run(shards int) ShardMeasure {
 	}
 }
 
-// ShardBench runs the E19 workload once at the given shard count, for
-// `vorx bench`'s shard section.
-func ShardBench(shards int) ShardMeasure { return e19Run(shards) }
-
 // E19ShardScaling sweeps shard counts over one installation.
 func E19ShardScaling() *Table {
 	t := &Table{
@@ -126,7 +121,7 @@ func E19ShardScaling() *Table {
 	}
 	serialDigest := ""
 	var serialWall time.Duration
-	var runs []ShardMeasure
+	var runs []shardMeasure
 	for _, shards := range []int{1, 2, 4, 8} {
 		r := e19Run(shards)
 		identical := "yes"
@@ -157,8 +152,9 @@ func E19ShardScaling() *Table {
 		parts = append(parts, fmt.Sprintf("shards=%d %.0fk ev/s (%.2fx)",
 			r.Shards, evps/1e3, serialWall.Seconds()/r.Wall.Seconds()))
 	}
-	t.Note("wall clock (host-dependent, this run): %s", strings.Join(parts, ", "))
+	t.HostNote("wall clock (host-dependent, this run): %s", strings.Join(parts, ", "))
 	t.Note("speedup needs real cores: on a 1-CPU host the shard goroutines serialize and " +
-		"cross-shard synchronization is pure overhead, exactly as Workers reporting in vorx bench")
+		"cross-shard synchronization is pure overhead, the same reason Workers clamps the " +
+		"replication pool to the host's CPUs")
 	return t
 }

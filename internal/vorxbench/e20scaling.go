@@ -17,9 +17,9 @@ import (
 // shard counts, reporting the sim.sync.* counters next to throughput
 // so the cost of conservative synchronization is visible in the same
 // row as the speedup it buys. The digest column is deterministic and
-// must read "yes" at every shard count; the events/sec note is
-// wall-clock and scales with host CPUs, so E20 joins E14/E18/E19
-// outside the replication identity check.
+// must read "yes" at every shard count; the events/sec figures are
+// wall-clock and scale with host CPUs, so, as in E19, they are host
+// notes, outside the rendered table.
 
 // E20 geometry: 1 host + 63 nodes is 16 clusters of 4 — twice E19's
 // pool, with cluster pairs up to 4 cube hops apart, so the route-aware
@@ -31,7 +31,7 @@ const (
 )
 
 // e20Run drives the dense pair workload at one shard count.
-func e20Run(shards int) ShardMeasure {
+func e20Run(shards int) shardMeasure {
 	sh, err := core.BuildSharded(core.Config{Hosts: 1, Nodes: e20Nodes, Seed: 20, Shards: shards})
 	if err != nil {
 		panic(err)
@@ -80,7 +80,7 @@ func e20Run(shards int) ShardMeasure {
 			makespan = n
 		}
 	}
-	return ShardMeasure{
+	return shardMeasure{
 		Shards:   shards,
 		Digest:   b.String(),
 		Events:   sh.Group.Scheduled(),
@@ -96,8 +96,8 @@ func e20Run(shards int) ShardMeasure {
 // pool. The table rows are deterministic (virtual-time event counts,
 // digests); the sim.sync.* counters depend on how the host scheduler
 // interleaved the shards (a shard that happens to park draws extra
-// wakeups and promise repairs), so they ride in the host-dependent
-// notes next to the wall clock, outside CI's double-run diff.
+// wakeups and promise repairs), so they are host notes next to the
+// wall clock, outside the rendered table.
 func E20MultiCoreScaling() *Table {
 	t := &Table{
 		ID:    "E20",
@@ -107,7 +107,7 @@ func E20MultiCoreScaling() *Table {
 	}
 	serialDigest := ""
 	var serialWall time.Duration
-	var runs []ShardMeasure
+	var runs []shardMeasure
 	for _, shards := range []int{1, 2, 4, 8} {
 		r := e20Run(shards)
 		identical := "yes"
@@ -135,7 +135,7 @@ func E20MultiCoreScaling() *Table {
 			r.Shards, r.Sync.HorizonPublishes, r.Sync.NullMessages,
 			r.Sync.Wakeups, r.Sync.AvgDrainRun()))
 	}
-	t.Note("sync counters (host-dependent, this run): %s — pubs = per-pair promise raises "+
+	t.HostNote("sync counters (host-dependent, this run): %s — pubs = per-pair promise raises "+
 		"stored, null = raises with no queued traffic to cap them, wakes = park/wake signals, "+
 		"drain = events dispatched per safe-bound computation (grant batching, higher is cheaper)",
 		strings.Join(sync, "; "))
@@ -145,7 +145,7 @@ func E20MultiCoreScaling() *Table {
 		parts = append(parts, fmt.Sprintf("shards=%d %.0fk ev/s (%.2fx)",
 			r.Shards, evps/1e3, serialWall.Seconds()/r.Wall.Seconds()))
 	}
-	t.Note("wall clock (host-dependent, this run, GOMAXPROCS=%d, %d CPUs): %s",
+	t.HostNote("wall clock (host-dependent, this run, GOMAXPROCS=%d, %d CPUs): %s",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), strings.Join(parts, ", "))
 	return t
 }

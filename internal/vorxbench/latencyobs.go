@@ -161,7 +161,7 @@ func E18LatencyObservatory() *Table {
 			plain.mk, analyzed.mk)
 	}
 	if plain.wall > 0 {
-		t.Note("analyzer wall-clock overhead: %.0f%% on this host (host-side only; varies run to run)",
+		t.HostNote("analyzer wall-clock overhead: %.0f%% on this host (host-side only; varies run to run)",
 			100*(float64(analyzed.wall)-float64(plain.wall))/float64(plain.wall))
 	}
 	return t

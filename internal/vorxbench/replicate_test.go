@@ -8,7 +8,8 @@ import (
 // TestWorkersClampedToCPUs: the resolved worker count never exceeds
 // the CPUs actually available — share-nothing simulation workers are
 // pure compute, and oversubscribing a small builder measurably slowed
-// the suite (BENCH_pr4.json recorded a 0.86x "speedup" on one CPU).
+// the suite (BENCH_pr4.json, at commit b12a0d4, recorded a 0.86x
+// "speedup" on one CPU).
 func TestWorkersClampedToCPUs(t *testing.T) {
 	cpus := runtime.NumCPU()
 	if g := runtime.GOMAXPROCS(0); g < cpus {
@@ -36,12 +37,26 @@ func TestWorkersClampedToCPUs(t *testing.T) {
 // TestRunIDsSerialParallelIdentical: the worker pool changes nothing
 // about the rendered experiments, regardless of worker count.
 func TestRunIDsSerialParallelIdentical(t *testing.T) {
-	ids := []string{"E1", "E15"}
+	ids := []string{"E1", "E14", "E15"}
 	serial := RunIDs(ids, 1)
 	parallel := RunIDs(ids, 4)
 	for i := range ids {
 		if serial[i].String() != parallel[i].String() {
 			t.Fatalf("experiment %s diverged between serial and parallel runs", ids[i])
+		}
+	}
+}
+
+// TestReplicateSeedsSerialParallelIdentical: seeded replications are
+// share-nothing, so the worker pool returns the same digests, in seed
+// order, as the serial run.
+func TestReplicateSeedsSerialParallelIdentical(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	serial := ReplicateSeeds(seeds, 1, SeededRun)
+	parallel := ReplicateSeeds(seeds, 4, SeededRun)
+	for i := range seeds {
+		if serial[i] != parallel[i] {
+			t.Fatalf("seed %d: serial %q, parallel %q", seeds[i], serial[i], parallel[i])
 		}
 	}
 }

@@ -19,6 +19,12 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// HostNotes are measurements of the host rather than of the
+	// simulation (wall clock, scheduler-dependent sync counters).
+	// Format and String never print them, so a rendered table is a
+	// pure function of the experiment; cmd/benchtables prints them to
+	// stderr.
+	HostNotes []string
 }
 
 // AddRow appends a formatted row.
@@ -31,7 +37,12 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Format renders the table.
+// HostNote appends a host-dependent footnote (see HostNotes).
+func (t *Table) HostNote(format string, args ...any) {
+	t.HostNotes = append(t.HostNotes, fmt.Sprintf(format, args...))
+}
+
+// Format renders the table, without its host notes.
 func (t *Table) Format(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Header))

@@ -126,10 +126,15 @@ func TestTableFormatting(t *testing.T) {
 	tb := &Table{ID: "X", Title: "demo", Header: []string{"a", "bb"}}
 	tb.AddRow("1", "2")
 	tb.Note("hello %d", 7)
+	tb.HostNote("wall clock %d ms", 42)
 	out := tb.String()
 	for _, want := range []string{"== X: demo ==", "a  bb", "1  2", "note: hello 7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+	// Host notes are host measurements, never part of the rendered table.
+	if strings.Contains(out, "wall clock") {
+		t.Errorf("host note rendered in:\n%s", out)
 	}
 }
